@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,20 +164,51 @@ def test_search_kernel_miss(capsys):
 # -- determinism --------------------------------------------------------------
 
 
-def subprocess_stdout(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "onerelator.cli", *argv],
+GOLDEN_REPORTS = Path("tests/data/golden")
+
+#: report name -> CLI arguments; ``<name>.out`` holds the expected stdout bytes
+GOLDEN_CASES = {
+    "analyze_gt": ("analyze", "--word", "abtAB"),
+    "analyze_main_theorem": ("analyze", "--word", "bTatct", "--rank", "3"),
+    "analyze_exponent_sum": ("analyze", "--word", "atat"),
+    "decompose_pairs": ("decompose", "--word", "bTatct", "--rank", "3"),
+    "decompose_gt": ("decompose", "--word", "ct", "--rank", "3"),
+    "shape": ("shape", "--word", "aT^2bt^3"),
+    "validate": ("validate", "--complex", GOLDEN),
+    "validate_word": ("validate", "--complex", GOLDEN, "--word", "at"),
+    "simulate_default": ("simulate", "--complex", GOLDEN, "--seed", "7"),
+    "simulate_horizon": ("simulate", "--complex", GOLDEN, "--horizon", "9/2"),
+    "certify_found": ("certify", "--word", "attbT", "--max-degree", "5"),
+    "certify_none": ("certify", "--word", "abt", "--max-degree", "4"),
+    "search_kernel_hit": (
+        "search-kernel", "--word", "bTat", "--target-shape=1,-1",
+        "--conj-len", "2", "--products", "2",
+    ),
+    "search_kernel_hit_two": (
+        "search-kernel", "--word", "at", "--target-shape", "1,1",
+        "--conj-len", "1", "--products", "2",
+    ),
+    "search_kernel_miss": (
+        "search-kernel", "--word", "atataT", "--target-shape", "1",
+        "--conj-len", "2", "--products", "2",
+    ),
+}
+
+
+def run_subprocess(*argv, python_flags=()):
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "onerelator.cli", *argv],
         capture_output=True,
-        check=True,
     )
-    return proc.stdout
 
 
 def test_reports_byte_identical():
-    args = ("simulate", "--complex", GOLDEN, "--seed", "7")
-    assert subprocess_stdout(*args) == subprocess_stdout(*args)
-    args = ("analyze", "--word", "abtAB")
-    assert subprocess_stdout(*args) == subprocess_stdout(*args)
+    """Every command's stdout matches its committed golden report byte for byte."""
+    for name, argv in GOLDEN_CASES.items():
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout == (GOLDEN_REPORTS / f"{name}.out").read_bytes(), name
+    assert sorted(p.stem for p in GOLDEN_REPORTS.glob("*.out")) == sorted(GOLDEN_CASES)
 
 
 # -- failure modes ------------------------------------------------------------
