@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .spheres import (
     ComplexFormatError,
+    SphereComplex,
     check_csl,
     detect_type1,
     detect_type2,
@@ -34,6 +35,7 @@ from .surjectivity import (
 )
 from .traffic import (
     ScheduleError,
+    common_period,
     simulate,
     uniform_schedule,
     verify_at_least_two_crashes,
@@ -63,6 +65,13 @@ def _parse(word: str, rank: int) -> Word:
     try:
         return parse_word(word, free_alphabet(rank))
     except (WordSyntaxError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _load(path: str) -> SphereComplex:
+    try:
+        return load_complex(path)
+    except (OSError, ComplexFormatError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -121,10 +130,7 @@ def cmd_shape(args: argparse.Namespace) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> dict:
-    try:
-        k = load_complex(args.complex)
-    except (OSError, ComplexFormatError) as exc:
-        raise InputError(str(exc)) from exc
+    k = _load(args.complex)
     rep = validate_sphere(k)
     out = {
         "connected": rep.connected,
@@ -152,10 +158,7 @@ def cmd_validate(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
-    try:
-        k = load_complex(args.complex)
-    except (OSError, ComplexFormatError) as exc:
-        raise InputError(str(exc)) from exc
+    k = _load(args.complex)
     rep = validate_sphere(k)
     if not rep.passed:
         raise InputError(f"complex is not a valid sphere subdivision: {rep.problems}")
@@ -169,12 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         events = simulate(k, schedules, horizon)
         ok: Optional[bool] = None
     else:
-        from math import gcd, lcm
-
-        periods = [s.period for s in schedules.values()]
-        num = lcm(*(p.numerator for p in periods))
-        den = gcd(*(p.denominator for p in periods))
-        horizon = 2 * Q(num, den)
+        horizon = 2 * common_period(schedules)
         ok, events = verify_at_least_two_crashes(k, schedules, horizon)
     return {
         "at_least_two_complete_crashes": ok,
@@ -192,7 +190,8 @@ def cmd_certify(args: argparse.Namespace) -> dict:
     cert = quotient_certificate(pres, args.max_degree)
     if cert is None:
         return {"certificate": None, "max_degree": args.max_degree, "word": str(w)}
-    assert verify_certificate(pres, cert)
+    if not verify_certificate(pres, cert):
+        raise RuntimeError("certificate failed its independent re-check")
     return {
         "certificate": {
             "degree": cert.degree,
@@ -281,10 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         result = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScheduleError as exc:
+    except (InputError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # contract violation

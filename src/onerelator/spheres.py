@@ -9,13 +9,21 @@ the outer face at the distinguished vertex.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .words import RESERVED, Word, free_reduce, parse_word, word_key
+from .words import (
+    RESERVED,
+    STABLE,
+    Word,
+    free_reduce,
+    least_rotation,
+    parse_word,
+)
 
 LABEL_ALPHABET = frozenset(
     chr(c) for c in range(ord("a"), ord("z") + 1) if chr(c) not in RESERVED
@@ -79,8 +87,6 @@ class RelatorSet:
     m: int = 1
 
     def words(self) -> tuple[Word, ...]:
-        from .words import STABLE
-
         out = [self.w0]
         for h, h_phi in self.h_pairs:
             raw = [(STABLE, -1)] + list(h.letters) + [(STABLE, 1)]
@@ -243,8 +249,6 @@ def read_face_word(k: SphereComplex, face_id: str, start: int = 0) -> Word:
     (resp. against) its orientation; the edge *entering* the start corner is
     read first, matching the triangle convention t a t^-1 b t^-1 c.
     """
-    from .words import STABLE
-
     face = k.face_map[face_id]
     if k.e_infinity is not None and face_id == k.e_infinity:
         raise ValueError("the outer face has no boundary word")
@@ -290,34 +294,30 @@ def _vertex_cycle(k: SphereComplex, vertex_id: str) -> list[tuple[str, int]]:
     return order
 
 
-def read_vertex_word(k: SphereComplex, vertex_id: str) -> Word:
-    """Clockwise product of the corner labels around a vertex."""
-    if k.v0 is not None and vertex_id == k.v0:
-        raise ValueError("the corner product at the distinguished vertex is undefined")
-    raw: list[tuple[str, int]] = []
+def _vertex_labels(k: SphereComplex, vertex_id: str) -> list[Word]:
+    """Corner labels around a vertex, in link-cycle order."""
+    labels: list[Word] = []
     for face_id, i in _vertex_cycle(k, vertex_id):
         label = k.face_map[face_id].corners[i][1]
         if label is None:
             raise ValueError(f"unlabelled corner at vertex {vertex_id}")
-        raw.extend(label.letters)
-    return free_reduce(raw)
+        labels.append(label)
+    return labels
+
+
+def read_vertex_word(k: SphereComplex, vertex_id: str) -> Word:
+    """Clockwise product of the corner labels around a vertex."""
+    if k.v0 is not None and vertex_id == k.v0:
+        raise ValueError("the corner product at the distinguished vertex is undefined")
+    return free_reduce(
+        [l for label in _vertex_labels(k, vertex_id) for l in label.letters]
+    )
 
 
 # -- irreducibility ---------------------------------------------------------
 
 
-def _face_word_from_edge(k: SphereComplex, face_id: str, pos: int) -> tuple[
-    tuple[str, int], ...
-]:
-    """Boundary word starting with the t-letter of boundary step ``pos``."""
-    face = k.face_map[face_id]
-    n = len(face.boundary)
-    return read_face_word(k, face_id, start=(pos + 1) % n).letters
-
-
-def detect_type1(
-    k: SphereComplex, w: Optional[RelatorSet] = None
-) -> Optional[tuple[str, str, str]]:
+def detect_type1(k: SphereComplex) -> Optional[tuple[str, str, str]]:
     """A pair of distinct faces reading inverse words across a shared edge.
 
     Returns (face, face, edge) or None.  The shared edge must represent the
@@ -331,9 +331,11 @@ def detect_type1(
         (f1, i1), (f2, i2) = inc
         if f1 == f2 or f1 in skip or f2 in skip:
             continue
+        # each word starts with the t-letter of the shared boundary step
+        n1, n2 = len(k.face_map[f1].boundary), len(k.face_map[f2].boundary)
         try:
-            w1 = _face_word_from_edge(k, f1, i1)
-            w2 = _face_word_from_edge(k, f2, i2)
+            w1 = read_face_word(k, f1, start=(i1 + 1) % n1).letters
+            w2 = read_face_word(k, f2, start=(i2 + 1) % n2).letters
         except ValueError:
             continue  # unlabelled corners: no word to compare
         inv = tuple((s, -e) for s, e in reversed(w1))
@@ -343,9 +345,7 @@ def detect_type1(
     return None
 
 
-def detect_type2(
-    k: SphereComplex, w: Optional[RelatorSet] = None
-) -> Optional[tuple[tuple[str, ...], str, str]]:
+def detect_type2(k: SphereComplex) -> Optional[tuple[tuple[str, ...], str, str]]:
     """A chain of 2-gons between common vertices whose label product is 1.
 
     Returns (face chain, vertex a, vertex b) or None.  The product is checked
@@ -360,6 +360,8 @@ def detect_type2(
         and all(lbl is not None for _, lbl in f.corners)
         and f.corners[0][0] != f.corners[1][0]
     ]
+    # label[face id][vertex]: bigon corners are labelled and sit at distinct vertices
+    label = {f.id: dict(f.corners) for f in bigons}
     by_pair: dict[frozenset[str], list[Face]] = {}
     for f in bigons:
         key = frozenset(v for v, _ in f.corners)
@@ -374,20 +376,9 @@ def detect_type2(
                     if other != f.id and other in ids:
                         adjacency[f.id].add(other)
 
-        def label_at(face: Face, vertex: str) -> Word:
-            for cv, lbl in face.corners:
-                if cv == vertex:
-                    assert lbl is not None
-                    return lbl
-            raise AssertionError
-
         def extend(chain: list[str]) -> Optional[tuple[tuple[str, ...], str, str]]:
-            prod_a = free_reduce(
-                [l for fid in chain for l in label_at(k.face_map[fid], a).letters]
-            )
-            prod_b = free_reduce(
-                [l for fid in chain for l in label_at(k.face_map[fid], b).letters]
-            )
+            prod_a = free_reduce([l for fid in chain for l in label[fid][a].letters])
+            prod_b = free_reduce([l for fid in chain for l in label[fid][b].letters])
             if prod_a.is_identity() or prod_b.is_identity():
                 return (tuple(chain), a, b)
             for nxt in sorted(adjacency[chain[-1]]):
@@ -414,14 +405,6 @@ class CSLReport:
     @property
     def passed(self) -> bool:
         return all(ok for ok, _ in self.items.values())
-
-
-def _cyclic_letter_classes(letters: tuple[tuple[str, int], ...]) -> tuple:
-    if not letters:
-        return ()
-    return min(
-        (letters[i:] + letters[:i] for i in range(len(letters))), key=word_key
-    )
 
 
 def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
@@ -475,8 +458,8 @@ def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
 
     targets = set()
     for w in relators.words():
-        targets.add(_cyclic_letter_classes(w.letters))
-        targets.add(_cyclic_letter_classes(w.inverse().letters))
+        targets.add(least_rotation(w.letters))
+        targets.add(least_rotation(w.inverse().letters))
     e_ok, e_detail = True, "all face words lie in the relator family"
     for f in k.faces:
         if k.e_infinity is not None and f.id == k.e_infinity:
@@ -486,13 +469,13 @@ def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
         except ValueError as exc:
             e_ok, e_detail = False, str(exc)
             break
-        if _cyclic_letter_classes(fw.letters) not in targets:
+        if least_rotation(fw.letters) not in targets:
             e_ok, e_detail = False, f"face {f.id} reads {fw}"
             break
     report["e"] = (e_ok, e_detail)
 
-    t1 = detect_type1(k, relators)
-    t2 = detect_type2(k, relators)
+    t1 = detect_type1(k)
+    t2 = detect_type2(k)
     report["f"] = (
         t1 is None and t2 is None,
         f"type-1 witness {t1}, type-2 witness {t2}",
@@ -618,7 +601,7 @@ def generate_random(seed: int, size: int) -> SphereComplex:
     if size < 1:
         raise ValueError("size must be >= 1")
     rng = random.Random(seed)
-    counter = iter(range(1, 10_000))
+    counter = itertools.count(1)
     k = dipole()
     k = add_loop(k, "f0", 0, counter)  # outer neighbour gets a second edge
     for _ in range(size):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .words import (
     STABLE,
@@ -19,9 +19,9 @@ from .words import (
     Word,
     exponent_sum,
     free_reduce,
-    conjugacy_canonical,
     cyclic_reduce,
     is_conjugate_to_gt,
+    substitute,
 )
 
 
@@ -148,19 +148,24 @@ class Lemma2Decomposition:
     conjugator: Word  # u with u^-1 * reassemble() * u == source word
 
     def reassemble(self) -> Word:
-        raw: list[Letter] = []
-        for b, a in self.pairs:
-            raw.extend(expand(b).letters)
-            raw.append((STABLE, -1))
-            raw.extend(expand(a).letters)
-            raw.append((STABLE, 1))
-        raw.extend(expand(self.c).letters)
-        raw.append((STABLE, 1))
-        return free_reduce(raw)
+        return _pair_word(self, STABLE)
 
     def source(self) -> Word:
         u = self.conjugator
         return u.inverse() * self.reassemble() * u
+
+
+def _pair_word(d: Lemma2Decomposition, sym: str) -> Word:
+    """b0 a0^x ... br ar^x c x, where x is the letter ``sym``."""
+    raw: list[Letter] = []
+    for b, a in d.pairs:
+        raw.extend(expand(b).letters)
+        raw.append((sym, -1))
+        raw.extend(expand(a).letters)
+        raw.append((sym, 1))
+    raw.extend(expand(d.c).letters)
+    raw.append((sym, 1))
+    return free_reduce(raw)
 
 
 def _prefix_exponents(letters: Sequence[Letter]) -> list[int]:
@@ -190,8 +195,8 @@ def decompositions(w: Word) -> Iterator[Lemma2Decomposition]:
         g, _ = gt
         # degenerate case: w ~ g t with empty pair list and c = g at level 0
         c = KernelForm(((g, 0),) if not g.is_identity() else ())
-        reassembled_conj = cyclic_reduce(w)  # reduced form is g t itself
-        yield Lemma2Decomposition(m=1, pairs=(), c=c, conjugator=reassembled_conj[1])
+        # the cyclic reduction is g t itself, so u0 is the conjugator
+        yield Lemma2Decomposition(m=1, pairs=(), c=c, conjugator=u0)
         return
 
     # candidate rotations ending in a positive t-letter, with level shift
@@ -270,37 +275,17 @@ def decompositions(w: Word) -> Iterator[Lemma2Decomposition]:
 
 def lemma2_decompose(w: Word) -> Lemma2Decomposition:
     """First decomposition in canonical order (smallest parameter m)."""
-    best: Optional[Lemma2Decomposition] = None
-    for d in decompositions(w):
-        if best is None or d.m < best.m:
-            best = d
-        if best.m == 1:
-            break
-    if best is None:
+    d = next(decompositions(w), None)
+    if d is None:
         raise ValueError(f"no decomposition found for {w}")
-    return best
+    return d
 
 
 def build_two_variable_word(d: Lemma2Decomposition) -> Word:
     """The two-variable word b0(t) a0(t)^s ... c(t) s over G*<s>*<t>."""
-    raw: list[Letter] = []
-    for b, a in d.pairs:
-        raw.extend(expand(b).letters)
-        raw.append((AUX, -1))
-        raw.extend(expand(a).letters)
-        raw.append((AUX, 1))
-    raw.extend(expand(d.c).letters)
-    raw.append((AUX, 1))
-    return free_reduce(raw)
+    return _pair_word(d, AUX)
 
 
 def substitute_aux(w: Word, replacement: Word) -> Word:
     """Substitute every s-letter by ``replacement`` and freely reduce."""
-    raw: list[Letter] = []
-    for sym, sign in w.letters:
-        if sym == AUX:
-            rep = replacement if sign > 0 else replacement.inverse()
-            raw.extend(rep.letters)
-        else:
-            raw.append((sym, sign))
-    return free_reduce(raw)
+    return substitute(w, AUX, replacement)

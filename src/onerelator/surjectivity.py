@@ -9,7 +9,7 @@ of G.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -20,9 +20,10 @@ from .words import (
     _reduce,
     cyclic_reduce,
     exponent_sum,
-    free_reduce,
+    free_alphabet,
     is_conjugate_to_gt,
     letter_key,
+    substitute,
     t_shape,
     word_key,
 )
@@ -46,8 +47,6 @@ class Presentation:
 
 
 def one_relator_presentation(w: Word, rank: int) -> Presentation:
-    from .words import free_alphabet
-
     return Presentation(
         generators=tuple(sorted(free_alphabet(rank))),
         relators=(cyclic_reduce(w)[0],),
@@ -64,17 +63,6 @@ class Collapse:
     verified: bool
 
 
-def _substitute_t(w: Word, replacement: Word) -> Word:
-    raw: list[Letter] = []
-    for sym, sign in w.letters:
-        if sym == STABLE:
-            rep = replacement if sign > 0 else replacement.inverse()
-            raw.extend(rep.letters)
-        else:
-            raw.append((sym, sign))
-    return free_reduce(raw)
-
-
 def collapse_isomorphism(w: Word) -> Collapse:
     """The substitution eliminating t when w is conjugate to g t^epsilon."""
     gt = is_conjugate_to_gt(w)
@@ -82,7 +70,7 @@ def collapse_isomorphism(w: Word) -> Collapse:
         raise ValueError("word is not conjugate to a gt-form")
     g, eps = gt
     t_image = g ** (-eps)
-    verified = _substitute_t(w, t_image).is_identity()
+    verified = substitute(w, STABLE, t_image).is_identity()
     if not verified:
         raise AssertionError("collapse substitution failed to kill the relator")
     return Collapse(g=g, epsilon=eps, t_image=t_image, verified=True)
@@ -223,7 +211,6 @@ def normal_closure_search(
     ex_w = exponent_sum(w)
     target_ex = sum(target_shape)
     target_tc = sum(abs(q) for q in target_shape)
-    n = len(factors)
     ex_of = [sign * ex_w for _, _, sign in factors]
     tc_of = [sum(1 for s, _ in f.letters if s == STABLE) for f, _, _ in factors]
     inv_index: dict[tuple[Letter, ...], int] = {
@@ -237,32 +224,15 @@ def normal_closure_search(
             acc.append(acc[-1] + (1 if sym == STABLE else 0))
         pref_tc.append(acc)
 
-    def shape_of(letters: tuple[Letter, ...]) -> tuple[int, ...]:
-        return t_shape(Word(letters))
-
-    def check(letters: tuple[Letter, ...], trail: tuple[int, ...]) -> Optional[SearchHit]:
-        if shape_of(letters) == target_shape:
-            chosen = tuple((factors[i][1], factors[i][2]) for i in trail)
-            return SearchHit(element=Word(letters), factors=chosen)
-        return None
-
     # iteratively deepened exact-depth passes keep the canonical order:
     # all products of d factors are inspected before any product of d+1
-    for budget in range(1, product_bound + 1):
-        if budget == 1:
-            for i in range(n):
-                if ex_of[i] != target_ex:
-                    continue
-                hit = check(factors[i][0].letters, (i,))
-                if hit is not None:
-                    return hit
-        else:
-            exact = _exact_depth_search(
-                factors, ex_of, tc_of, pref_tc, inv_index,
-                ex_w, target_ex, target_tc, target_shape, budget,
-            )
-            if exact is not None:
-                return exact
+    for depth in range(1, product_bound + 1):
+        hit = _exact_depth_search(
+            factors, ex_of, tc_of, pref_tc, inv_index,
+            ex_w, target_ex, target_tc, target_shape, depth,
+        )
+        if hit is not None:
+            return hit
     return None
 
 
@@ -278,7 +248,8 @@ def _exact_depth_search(
     # target and (for nonempty prefixes) forces a matching first letter
     buckets: dict[tuple[Letter, int, int], list[int]] = {}
     for i, fl in enumerate(letters_of):
-        buckets.setdefault((fl[0], tc_of[i], ex_of[i]), []).append(i)
+        if fl:  # only a trivial relator has an empty conjugate
+            buckets.setdefault((fl[0], tc_of[i], ex_of[i]), []).append(i)
 
     def last_factor(prefix, prefix_ex, trail):
         rev_inv = tuple((s, -e) for s, e in reversed(prefix))
@@ -406,24 +377,33 @@ class QuotientCertificate:
     witness: str
 
 
-def _assignments(pres: Presentation, degree: int):
-    """Generator-image assignments in deterministic order.
+def _quotients(pres: Presentation, max_degree: int):
+    """Permutation quotients of degree 1 to ``max_degree`` (at most 8), in
+    deterministic order.
 
-    The first base generator ranges over conjugacy-class representatives
-    only: conjugating all images at once preserves both the relator check
-    and the membership witness.
+    Yields ``(degree, images)`` for every generator-image assignment that
+    sends each relator to the identity.  The first base generator ranges
+    over conjugacy-class representatives only: conjugating all images at
+    once preserves both the relator check and the membership witness.
     """
+    if max_degree > 8:
+        raise ValueError("max_degree is capped at 8")
     gens = list(pres.generators)
-    all_perms = sorted(permutations(range(degree)))
-    first_choices = _class_representatives(degree)
     rest = gens[1:] if gens else []
-    for first in first_choices:
-        for tail in product(all_perms, repeat=len(rest) + 1):
-            images = {gens[0]: first} if gens else {}
-            for g, p in zip(rest, tail):
-                images[g] = p
-            images[STABLE] = tail[-1]
-            yield images
+    for degree in range(1, max_degree + 1):
+        identity = tuple(range(degree))
+        all_perms = sorted(permutations(range(degree)))
+        for first in _class_representatives(degree):
+            for tail in product(all_perms, repeat=len(rest) + 1):
+                images = {gens[0]: first} if gens else {}
+                for g, p in zip(rest, tail):
+                    images[g] = p
+                images[STABLE] = tail[-1]
+                if all(
+                    _word_image(r, images, degree) == identity
+                    for r in pres.relators
+                ):
+                    yield degree, images
 
 
 def quotient_certificate(
@@ -434,26 +414,18 @@ def quotient_certificate(
     Such a quotient certifies non-surjectivity independently of the theorem;
     absence of a certificate is not a refutation.
     """
-    if max_degree > 8:
-        raise ValueError("max_degree is capped at 8")
-    identity_ok = lambda ims, n: all(
-        _word_image(r, ims, n) == tuple(range(n)) for r in pres.relators
-    )
-    for n in range(1, max_degree + 1):
-        for images in _assignments(pres, n):
-            if not identity_ok(images, n):
-                continue
-            base_images = [images[g] for g in pres.generators]
-            closure = _subgroup_closure(base_images, n)
-            if images[STABLE] not in closure:
-                return QuotientCertificate(
-                    degree=n,
-                    images=dict(images),
-                    witness=(
-                        "image of t lies outside the subgroup generated by "
-                        "the base generator images"
-                    ),
-                )
+    for n, images in _quotients(pres, max_degree):
+        base_images = [images[g] for g in pres.generators]
+        closure = _subgroup_closure(base_images, n)
+        if images[STABLE] not in closure:
+            return QuotientCertificate(
+                degree=n,
+                images=images,
+                witness=(
+                    "image of t lies outside the subgroup generated by "
+                    "the base generator images"
+                ),
+            )
     return None
 
 
@@ -502,13 +474,8 @@ def order_evidence(x: Word, pres: Presentation, max_degree: int) -> int:
         shape == (total,) or shape == tuple([1] * total)
     ):
         raise ValueError("word must have t-shape t^n with n > 0")
-    if max_degree > 8:
-        raise ValueError("max_degree is capped at 8")
-    best = 0
-    for n in range(1, max_degree + 1):
-        identity = tuple(range(n))
-        for images in _assignments(pres, n):
-            if any(_word_image(r, images, n) != identity for r in pres.relators):
-                continue
-            best = max(best, _perm_order(_word_image(x, images, n)))
-    return best
+    orders = (
+        _perm_order(_word_image(x, images, n))
+        for n, images in _quotients(pres, max_degree)
+    )
+    return max(orders, default=0)

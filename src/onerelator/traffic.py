@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .spheres import Face, SphereComplex, _vertex_cycle
+from .spheres import Face, SphereComplex, _vertex_labels
 from .words import Word, free_reduce
 
 Q = Fraction
@@ -209,55 +209,49 @@ class _EdgeStay:
     c1: Q
 
 
-def _edge_occupancy(
+def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
+    spans = sorted(spans)
+    out: list[tuple[Q, Q]] = []
+    for a, b in spans:
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
+
+
+def _occupancy(
     face: Face, s: FlowSchedule, t_end: Q
-) -> dict[str, list[_EdgeStay]]:
+) -> tuple[dict[str, list[_EdgeStay]], dict[tuple[str, int], list[tuple[Q, Q]]]]:
+    """Edge stays per edge id, and merged occupancy intervals (possibly
+    instants) per (face, corner index)."""
     n = s.circuit
-    out: dict[str, list[_EdgeStay]] = {}
+    edges: dict[str, list[_EdgeStay]] = {}
+    corners: dict[tuple[str, int], list[tuple[Q, Q]]] = {}
+
+    def at_corner(pos: Q, a: Q, b: Q) -> None:
+        corners.setdefault((face.id, _floor(pos) % n), []).append((a, b))
+
     for t0, t1, p0, p1 in _pieces(s, t_end):
         if p0 == p1 and p0 == _floor(p0):
-            continue  # parked at a corner: vertex business
+            at_corner(p0, t0, t1)  # parked at a corner: vertex business
+            continue
+        # a piece parked inside an edge has no integer end
+        if p0 == _floor(p0):
+            at_corner(p0, t0, t0)
+        if p1 == _floor(p1):
+            at_corner(p1, t1, t1)
         j = _floor(p0)
         step = j % n
         eid, d = face.boundary[step]
         f0, f1 = p0 - j, p1 - j
         c0, c1 = (f0, f1) if d > 0 else (1 - f0, 1 - f1)
-        out.setdefault(eid, []).append(
+        edges.setdefault(eid, []).append(
             _EdgeStay(face.id, step, d, t0, t1, c0, c1)
         )
-    return out
-
-
-def _corner_occupancy(
-    face: Face, s: FlowSchedule, t_end: Q
-) -> dict[tuple[str, int], list[tuple[Q, Q]]]:
-    """Occupancy intervals (possibly instants) per (face, corner index)."""
-    n = s.circuit
-    out: dict[tuple[str, int], list[tuple[Q, Q]]] = {}
-
-    def add(pos: Q, a: Q, b: Q) -> None:
-        idx = _floor(pos) % n
-        out.setdefault((face.id, idx), []).append((a, b))
-
-    for t0, t1, p0, p1 in _pieces(s, t_end):
-        if p0 == p1:
-            if p0 == _floor(p0):
-                add(p0, t0, t1)
-        else:
-            if p0 == _floor(p0):
-                add(p0, t0, t0)
-            if p1 == _floor(p1):
-                add(p1, t1, t1)
-    for key, spans in out.items():
-        spans.sort()
-        merged = [spans[0]]
-        for a, b in spans[1:]:
-            if a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-            else:
-                merged.append((a, b))
-        out[key] = merged
-    return out
+    for key, spans in corners.items():
+        corners[key] = _merge_intervals(spans)
+    return edges, corners
 
 
 def _edge_meetings(
@@ -312,10 +306,10 @@ def simulate(
     edge_occ: dict[str, list[list[_EdgeStay]]] = {e: [] for e, _, _ in k.edges}
     corner_occ: dict[tuple[str, int], list[tuple[Q, Q]]] = {}
     for fid, s in schedules.items():
-        face = k.face_map[fid]
-        for eid, stays in _edge_occupancy(face, s, horizon).items():
+        edges, corners = _occupancy(k.face_map[fid], s, horizon)
+        for eid, stays in edges.items():
             edge_occ[eid].append(stays)
-        corner_occ.update(_corner_occupancy(face, s, horizon))
+        corner_occ.update(corners)
 
     events: list[CrashEvent] = []
     for eid, sides in edge_occ.items():
@@ -380,6 +374,16 @@ def simulate(
     return tuple(CrashEvent(*item) for item in uniq)
 
 
+def common_period(schedules: Mapping[str, FlowSchedule]) -> Q:
+    """The least common period of periodic schedules."""
+    periods = [s.period for s in schedules.values()]
+    if any(p is None for p in periods):
+        raise ScheduleError("all schedules must be periodic")
+    num = lcm(*(p.numerator for p in periods))
+    den = gcd(*(p.denominator for p in periods))
+    return Q(num, den)
+
+
 def verify_at_least_two_crashes(
     k: SphereComplex, schedules: Mapping[str, FlowSchedule], horizon: Q
 ) -> tuple[bool, tuple[CrashEvent, ...]]:
@@ -387,12 +391,7 @@ def verify_at_least_two_crashes(
 
     The horizon must cover at least two common periods of the schedules.
     """
-    periods = [s.period for s in schedules.values()]
-    if any(p is None for p in periods):
-        raise ScheduleError("all schedules must be periodic")
-    num = lcm(*(p.numerator for p in periods))
-    den = gcd(*(p.denominator for p in periods))
-    common = Q(num, den)
+    common = common_period(schedules)
     if Q(horizon) < 2 * common:
         raise ScheduleError(
             f"horizon {horizon} below two common periods ({2 * common})"
@@ -416,13 +415,7 @@ def crash_vertex_reading(k: SphereComplex, event: CrashEvent) -> VertexReading:
     """Read the corner word at a complete vertex crash and classify it."""
     if not event.complete or event.site[0] != "vertex":
         raise ValueError("reading requires a complete vertex crash")
-    vid = event.site[1]
-    labels: list[Word] = []
-    for face_id, i in _vertex_cycle(k, vid):
-        lbl = k.face_map[face_id].corners[i][1]
-        if lbl is None:
-            raise ValueError(f"unlabelled corner at vertex {vid}")
-        labels.append(lbl)
+    labels = _vertex_labels(k, event.site[1])
     word = free_reduce([l for lbl in labels for l in lbl.letters])
 
     n = len(labels)
@@ -454,17 +447,6 @@ def crash_vertex_reading(k: SphereComplex, event: CrashEvent) -> VertexReading:
 # -- the adversarial outer car ----------------------------------------------
 
 
-def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
-    spans = sorted(spans)
-    out: list[tuple[Q, Q]] = []
-    for a, b in spans:
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
-
-
 @dataclass(frozen=True)
 class _Transit:
     """One pass of an opposing car over an outer-boundary edge, in A-coordinates."""
@@ -490,7 +472,7 @@ def _outer_transits(
     eid = k.face_map[k.e_infinity].boundary[step][0]
     stays = [
         st
-        for st in _edge_occupancy(face, s, t_end).get(eid, [])
+        for st in _occupancy(face, s, t_end)[0].get(eid, [])
         if (st.face, st.step) == opp
     ]
     stays.sort(key=lambda st: st.t0)
@@ -565,9 +547,8 @@ def _plan_outer_car(
 
     for idx, tr in enumerate(pending):
         tau = tr.crossing(omega)
-        if tau is None or tau > horizon + 0:
-            if tau is None:
-                continue
+        if tau is None:
+            continue
         if bps[-1][0] >= tau:
             break
         if tr.enter > bps[-1][0]:
@@ -616,10 +597,11 @@ def _outer_busy(
     busy: list[tuple[Q, Q]] = []
     for fid, s in schedules.items():
         face = k.face_map[fid]
-        for eid, stays in _edge_occupancy(face, s, t_end).items():
+        edges, corners = _occupancy(face, s, t_end)
+        for eid, stays in edges.items():
             if eid in inf_edges:
                 busy.extend((st.t0, st.t1) for st in stays)
-        for (_, idx), spans in _corner_occupancy(face, s, t_end).items():
+        for (_, idx), spans in corners.items():
             if face.corners[idx][0] in inf_vertices:
                 busy.extend(spans)
     return busy

@@ -180,6 +180,18 @@ def parse_word(
     return free_reduce(raw)
 
 
+def substitute(w: Word, sym: str, replacement: Word) -> Word:
+    """Replace every ``sym``-letter of ``w`` by ``replacement`` and freely reduce."""
+    raw: list[Letter] = []
+    for s, sign in w.letters:
+        if s == sym:
+            rep = replacement if sign > 0 else replacement.inverse()
+            raw.extend(rep.letters)
+        else:
+            raw.append((s, sign))
+    return free_reduce(raw)
+
+
 # -- reduced-word anatomy (head, blocks, coefficients, shape) ---------------
 
 
@@ -238,9 +250,13 @@ def assemble(coeffs: Sequence[Word], shape: Sequence[int]) -> Word:
 # -- cyclic reduction and conjugacy ----------------------------------------
 
 
-def _rotations(letters: tuple[Letter, ...]) -> Iterator[tuple[Letter, ...]]:
-    for i in range(len(letters)):
-        yield letters[i:] + letters[:i]
+def least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The rotation of ``letters`` that is least under :func:`word_key`; () if empty."""
+    return min(
+        (letters[i:] + letters[:i] for i in range(len(letters))),
+        key=word_key,
+        default=(),
+    )
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -262,17 +278,17 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     if has_t and has_base and not (
         letters[0][0] != STABLE and letters[-1][0] == STABLE
     ):
-        best = None
-        best_i = 0
-        for i, rot in enumerate(_rotations(letters)):
-            if rot[0][0] != STABLE and rot[-1][0] == STABLE:
-                key = word_key(rot)
-                if best is None or key < best[0]:
-                    best = (key, rot)
-                    best_i = i
-        assert best is not None
+        # rotation i starts with letters[i] and ends with letters[i - 1]
+        best_i = min(
+            (
+                i
+                for i in range(len(letters))
+                if letters[i][0] != STABLE and letters[i - 1][0] == STABLE
+            ),
+            key=lambda i: word_key(letters[i:] + letters[:i]),
+        )
         prefix = letters[:best_i]
-        letters = best[1]
+        letters = letters[best_i:] + prefix
         conj = [(sym, -sign) for sym, sign in reversed(prefix)] + conj
     return Word(letters), free_reduce(conj)
 
@@ -282,10 +298,7 @@ def conjugacy_canonical(w: Word) -> Word:
 
     Two elements of G*<t> are conjugate iff their canonical words coincide.
     """
-    reduced, _ = cyclic_reduce(w)
-    if reduced.is_identity():
-        return reduced
-    return Word(min(_rotations(reduced.letters), key=word_key))
+    return Word(least_rotation(cyclic_reduce(w)[0].letters))
 
 
 def is_conjugate_to_gt(w: Word) -> Optional[tuple[Word, int]]:

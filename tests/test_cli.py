@@ -211,6 +211,21 @@ def test_reports_byte_identical():
     assert sorted(p.stem for p in GOLDEN_REPORTS.glob("*.out")) == sorted(GOLDEN_CASES)
 
 
+def test_certificate_recheck_survives_optimize():
+    """A certificate that fails its re-check exits 3, even under ``python -O``."""
+    code = (
+        "import sys, onerelator.cli as cli\n"
+        "cli.verify_certificate = lambda pres, cert: False\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = ("certify", "--word", "aTatt", "--rank", "1", "--max-degree", "4")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, *argv], capture_output=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == b""
+
+
 # -- failure modes ------------------------------------------------------------
 
 

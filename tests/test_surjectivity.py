@@ -152,6 +152,13 @@ def test_search_exhausts_to_none():
     assert normal_closure_search(base, (1,), 3, 3) is None
 
 
+def test_search_trivial_relator():
+    """Conjugates of the identity are trivial, so only the empty shape is hit."""
+    hit = normal_closure_search(Word(), (), 1, 1, alphabet=AB)
+    assert hit is not None and hit.element == Word()
+    assert normal_closure_search(Word(), (1,), 1, 2, alphabet=AB) is None
+
+
 def test_search_bound_validation():
     with pytest.raises(ValueError):
         normal_closure_search(wab("at"), (1,), 0, 2)

@@ -23,6 +23,7 @@ from onerelator import (
     verify_at_least_two_crashes,
 )
 from onerelator.spheres import SphereComplex
+from onerelator.traffic import common_period
 from conftest import IDENT, bigon_pencil, bigon_sphere, uphill_two_edge, w
 
 
@@ -154,6 +155,16 @@ def test_verify_two_crashes():
     finite = FlowSchedule("f1", 2, ((Q(0), Q(0)), (Q(4), Q(4))))
     with pytest.raises(ScheduleError):
         verify_at_least_two_crashes(k, {"f1": finite, "f2": sch["f2"]}, Q(8))
+
+
+def test_common_period():
+    half = FlowSchedule("f1", 1, ((Q(0), Q(0)), (Q(3, 2), Q(1))), period=Q(3, 2))
+    two = FlowSchedule("f2", 1, ((Q(0), Q(0)), (Q(2), Q(1))), period=Q(2))
+    assert common_period({"f1": half, "f2": two}) == 6
+    assert common_period({"f1": half}) == Q(3, 2)
+    finite = FlowSchedule("f1", 2, ((Q(0), Q(0)), (Q(4), Q(4))))
+    with pytest.raises(ScheduleError):
+        common_period({"f1": finite, "f2": two})
 
 
 # -- crash-vertex readings ----------------------------------------------------

@@ -23,6 +23,7 @@ from onerelator import (
     parse_word,
     t_shape,
 )
+from onerelator.words import least_rotation, substitute
 
 AB = free_alphabet(2)
 SYMS = sorted(AB) + [STABLE]
@@ -172,6 +173,32 @@ def test_conjugacy_canonical_oracle():
         canon = conjugacy_canonical(w)
         for u in conjugators:
             assert conjugacy_canonical(u * w * u.inverse()) == canon
+
+
+def test_least_rotation():
+    assert least_rotation(()) == ()
+    assert least_rotation(parse_word("tab", AB).letters) == (
+        parse_word("abt", AB).letters
+    )
+    # rotated as given, without cyclic reduction: t^-1 a t keeps its letters
+    t_a_t = parse_word("Tat", AB).letters
+    assert least_rotation(t_a_t) == (("a", 1), (STABLE, 1), (STABLE, -1))
+    for raw in all_words(4):
+        w = free_reduce(raw)
+        if not w.is_identity() and cyclic_reduce(w)[0] == w:
+            assert Word(least_rotation(w.letters)) == conjugacy_canonical(w)
+
+
+def test_substitute():
+    assert substitute(parse_word("aTbt", AB), STABLE, parse_word("ab", AB)) == (
+        parse_word("aBAbab", AB)
+    )
+    assert substitute(parse_word("ab", AB), STABLE, parse_word("a", AB)) == (
+        parse_word("ab", AB)
+    )
+    assert substitute(parse_word("atA", AB), "a", parse_word("bt", AB)) == (
+        parse_word("btB", AB)
+    )
 
 
 def test_gt_detection():
