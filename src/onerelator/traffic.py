@@ -220,14 +220,16 @@ def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
     return out
 
 
-def _occupancy(
-    face: Face, s: FlowSchedule, t_end: Q
-) -> tuple[dict[str, list[_EdgeStay]], dict[tuple[str, int], list[tuple[Q, Q]]]]:
+_EdgeMap = dict[str, list[_EdgeStay]]
+_CornerMap = dict[tuple[str, int], list[tuple[Q, Q]]]
+
+
+def _occupancy(face: Face, s: FlowSchedule, t_end: Q) -> tuple[_EdgeMap, _CornerMap]:
     """Edge stays per edge id, and merged occupancy intervals (possibly
     instants) per (face, corner index)."""
     n = s.circuit
-    edges: dict[str, list[_EdgeStay]] = {}
-    corners: dict[tuple[str, int], list[tuple[Q, Q]]] = {}
+    edges: _EdgeMap = {}
+    corners: _CornerMap = {}
 
     def at_corner(pos: Q, a: Q, b: Q) -> None:
         corners.setdefault((face.id, _floor(pos) % n), []).append((a, b))
@@ -304,7 +306,7 @@ def simulate(
         return ()
 
     edge_occ: dict[str, list[list[_EdgeStay]]] = {e: [] for e, _, _ in k.edges}
-    corner_occ: dict[tuple[str, int], list[tuple[Q, Q]]] = {}
+    corner_occ: _CornerMap = {}
     for fid, s in schedules.items():
         edges, corners = _occupancy(k.face_map[fid], s, horizon)
         for eid, stays in edges.items():
@@ -465,16 +467,12 @@ class _Transit:
 
 
 def _outer_transits(
-    k: SphereComplex, step: int, opp: tuple[str, int], s: FlowSchedule, t_end: Q
+    k: SphereComplex, step: int, opp: tuple[str, int], edges: _EdgeMap
 ) -> list[_Transit]:
-    face = k.face_map[s.face]
-    _, d_inf = k.face_map[k.e_infinity].boundary[step]
-    eid = k.face_map[k.e_infinity].boundary[step][0]
-    stays = [
-        st
-        for st in _occupancy(face, s, t_end)[0].get(eid, [])
-        if (st.face, st.step) == opp
-    ]
+    """Passes over outer step ``step`` by the car of ``opp``, from the edge
+    map of its face's occupancy."""
+    eid, d_inf = k.face_map[k.e_infinity].boundary[step]
+    stays = [st for st in edges.get(eid, []) if (st.face, st.step) == opp]
     stays.sort(key=lambda st: st.t0)
     transits: list[_Transit] = []
     cur: list[_EdgeStay] = []
@@ -586,18 +584,16 @@ def _plan_outer_car(
 
 
 def _outer_busy(
-    k: SphereComplex,
-    schedules: Mapping[str, FlowSchedule],
-    t_end: Q,
+    k: SphereComplex, occupancies: Mapping[str, tuple[_EdgeMap, _CornerMap]]
 ) -> list[tuple[Q, Q]]:
-    """Times when some car is on a closed outer-boundary edge or vertex."""
+    """Times when some car is on a closed outer-boundary edge or vertex,
+    from the occupancy of each face."""
     inf_face = k.face_map[k.e_infinity]
     inf_edges = {e for e, _ in inf_face.boundary}
     inf_vertices = {k.step_start(step) for step in inf_face.boundary}
     busy: list[tuple[Q, Q]] = []
-    for fid, s in schedules.items():
+    for fid, (edges, corners) in occupancies.items():
         face = k.face_map[fid]
-        edges, corners = _occupancy(face, s, t_end)
         for eid, stays in edges.items():
             if eid in inf_edges:
                 busy.extend((st.t0, st.t1) for st in stays)
@@ -635,8 +631,9 @@ def adversarial_schedule(
         raise ScheduleError("opposing boundary must properly contain the outer edge")
 
     t_end = horizon + (b.period or 0)
-    transits = _outer_transits(k, 0, opp[0], b, t_end)
-    busy = _outer_busy(k, {b.face: b}, t_end)
+    occupancies = {b.face: _occupancy(k.face_map[b.face], b, t_end)}
+    transits = _outer_transits(k, 0, opp[0], occupancies[b.face][0])
+    busy = _outer_busy(k, occupancies)
     bps = _plan_outer_car(1, omega, transits, busy, horizon)
     return FlowSchedule(
         face=k.e_infinity, circuit=1, breakpoints=tuple(bps), period=None
@@ -690,8 +687,11 @@ def uphill_schedule(
         raise ScheduleError("outer edge must have exactly one opposing face")
     opp_sched = schedules[opp[0][0]]
     t_end = horizon + (opp_sched.period or 0)
-    transits = _outer_transits(k, j0, opp[0], opp_sched, t_end)
-    busy = _outer_busy(k, schedules, t_end)
+    occupancies = {
+        fid: _occupancy(k.face_map[fid], s, t_end) for fid, s in schedules.items()
+    }
+    transits = _outer_transits(k, j0, opp[0], occupancies[opp[0][0]][0])
+    busy = _outer_busy(k, occupancies)
     bps = _plan_outer_car(n, omega, transits, busy, horizon)
     schedules[k.e_infinity] = FlowSchedule(
         face=k.e_infinity, circuit=n, breakpoints=tuple(bps), period=None

@@ -195,17 +195,12 @@ GOLDEN_CASES = {
 }
 
 
-def run_subprocess(*argv, python_flags=()):
-    return subprocess.run(
-        [sys.executable, *python_flags, "-m", "onerelator.cli", *argv],
-        capture_output=True,
-    )
-
-
 def test_reports_byte_identical():
     """Every command's stdout matches its committed golden report byte for byte."""
     for name, argv in GOLDEN_CASES.items():
-        proc = run_subprocess(*argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "onerelator.cli", *argv], capture_output=True
+        )
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout == (GOLDEN_REPORTS / f"{name}.out").read_bytes(), name
     assert sorted(p.stem for p in GOLDEN_REPORTS.glob("*.out")) == sorted(GOLDEN_CASES)
