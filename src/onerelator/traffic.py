@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Mapping, Optional
 
 from .spheres import Face, SphereComplex, _vertex_labels
@@ -179,22 +179,20 @@ def _segments(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
 
 
 def _pieces(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
-    """Segments refined so each moving piece stays within one unit span."""
+    """Segments refined so each moving piece stays within one unit span.
+
+    A moving segment is cut where it crosses an integer n, so the position
+    at each interior cut is exactly n; only the cut times are computed.
+    """
     out: list[tuple[Q, Q, Q, Q]] = []
     for t0, t1, p0, p1 in _segments(s, t_end):
         if p0 == p1:
             out.append((t0, t1, p0, p1))
             continue
-        cuts = [t0]
-        n = _floor(p0) + 1
-        while n < p1:
-            cuts.append(t0 + (t1 - t0) * (Q(n) - p0) / (p1 - p0))
-            n += 1
-        cuts.append(t1)
-        for a, b in zip(cuts, cuts[1:]):
-            pa = p0 + (p1 - p0) * (a - t0) / (t1 - t0)
-            pb = p0 + (p1 - p0) * (b - t0) / (t1 - t0)
-            out.append((a, b, pa, pb))
+        slope = (t1 - t0) / (p1 - p0)
+        marks = [p0] + [Q(n) for n in range(_floor(p0) + 1, ceil(p1))] + [p1]
+        cuts = [t0] + [t0 + (n - p0) * slope for n in marks[1:-1]] + [t1]
+        out.extend(zip(cuts, cuts[1:], marks, marks[1:]))
     return out
 
 
@@ -207,6 +205,9 @@ class _EdgeStay:
     t1: Q
     c0: Q  # tail-based edge coordinate at t0
     c1: Q
+
+    def coord(self, t: Q) -> Q:
+        return self.c0 + (self.c1 - self.c0) * (t - self.t0) / (self.t1 - self.t0)
 
 
 def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
@@ -259,22 +260,24 @@ def _occupancy(face: Face, s: FlowSchedule, t_end: Q) -> tuple[_EdgeMap, _Corner
 def _edge_meetings(
     eid: str, side1: list[_EdgeStay], side2: list[_EdgeStay]
 ) -> set[tuple[Q, tuple, tuple[str, ...]]]:
+    """Meetings inside the edge between the stays of two incidences.
+
+    Each side is one car's stays on one incidence: time-ordered, meeting
+    only at shared endpoints.  So the stays of ``side2`` that overlap or
+    touch a stay of ``side1`` form a run whose start only moves forward.
+    """
     hits: set[tuple[Q, tuple, tuple[str, ...]]] = set()
+    start = 0
     for x in side1:
-        for y in side2:
+        while start < len(side2) and side2[start].t1 < x.t0:
+            start += 1
+        for j in range(start, len(side2)):
+            y = side2[j]
+            if y.t0 > x.t1:
+                break
             lo, hi = max(x.t0, y.t0), min(x.t1, y.t1)
-            if lo > hi:
-                continue
-
-            def coord(stay: _EdgeStay, t: Q) -> Q:
-                if stay.t1 == stay.t0:
-                    return stay.c0
-                return stay.c0 + (stay.c1 - stay.c0) * (t - stay.t0) / (
-                    stay.t1 - stay.t0
-                )
-
-            f_lo = coord(x, lo) - coord(y, lo)
-            f_hi = coord(x, hi) - coord(y, hi)
+            f_lo = x.coord(lo) - y.coord(lo)
+            f_hi = x.coord(hi) - y.coord(hi)
             if f_lo == 0 and f_hi == 0:
                 t_star = lo
             elif f_lo == f_hi:
@@ -283,7 +286,7 @@ def _edge_meetings(
                 t_star = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo)
             else:
                 continue
-            c = coord(x, t_star)
+            c = x.coord(t_star)
             if 0 < c < 1:
                 participants = tuple(sorted({x.face, y.face}))
                 hits.add((t_star, ("edge", eid, c), participants))
@@ -293,7 +296,13 @@ def _edge_meetings(
 def simulate(
     k: SphereComplex, schedules: Mapping[str, FlowSchedule], horizon: Q
 ) -> tuple[CrashEvent, ...]:
-    """All crash events in [0, horizon], time-ordered, in exact arithmetic."""
+    """All crash events in [0, horizon], time-ordered, in exact arithmetic.
+
+    Cost: each schedule is cut into pieces once; each edge merges the
+    time-ordered stays of its two sides, linear in stays plus overlapping
+    pairs; each vertex sorts its T span endpoints once and sweeps them, so
+    O(T log T) plus the slots of every event it emits.
+    """
     horizon = Q(horizon)
     if set(schedules) != set(k.face_map):
         raise ScheduleError("schedules must cover exactly the faces of the complex")
@@ -334,41 +343,31 @@ def simulate(
             incidences[v].append((f.id, i))
     for vid, slots in incidences.items():
         spans = {slot: corner_occ.get(slot, []) for slot in slots}
-        times = sorted(
-            {t for sp in spans.values() for a, b in sp for t in (a, b)}
-        )
-        if not times:
-            continue
-
-        def occupied_at(t: Q) -> frozenset:
-            return frozenset(
-                slot
-                for slot, sp in spans.items()
-                if any(a <= t <= b for a, b in sp)
-            )
-
-        def occupied_on(a: Q, b: Q) -> frozenset:
-            mid = (a + b) / 2
-            return occupied_at(mid)
-
-        samples: list[tuple[Q, frozenset]] = []
-        for idx, t in enumerate(times):
-            samples.append((t, occupied_at(t)))
-            if idx + 1 < len(times):
-                samples.append((t, occupied_on(t, times[idx + 1])))
-        prev: Optional[frozenset] = None
-        for t, occ in samples:
-            if occ != prev and len(occ) >= 2:
+        times = sorted({t for sp in spans.values() for a, b in sp for t in (a, b)})
+        # sample 2i is the instant times[i], sample 2i+1 the open gap after
+        # it; a slot's merged span [a, b] covers samples 2*idx(a)..2*idx(b),
+        # so it enters at the first and leaves at the one after the last
+        index = {t: i for i, t in enumerate(times)}
+        toggles: list[list[tuple[str, int]]] = [[] for _ in range(2 * len(times))]
+        for slot, sp in spans.items():
+            for a, b in sp:
+                toggles[2 * index[a]].append(slot)
+                toggles[2 * index[b] + 1].append(slot)
+        occ: set[tuple[str, int]] = set()
+        for sample in range(2 * len(times) - 1):
+            if not toggles[sample]:
+                continue  # occupancy unchanged since the previous sample
+            occ.symmetric_difference_update(toggles[sample])
+            if len(occ) >= 2:
                 faces_here = tuple(sorted({f for f, _ in occ}))
                 events.append(
                     CrashEvent(
-                        t,
+                        times[sample // 2],
                         ("vertex", vid),
                         faces_here,
                         complete=len(occ) == len(slots),
                     )
                 )
-            prev = occ
 
     uniq = sorted(
         {(e.time, e.site, e.participants, e.complete) for e in events}

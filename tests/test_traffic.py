@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -15,6 +16,7 @@ from onerelator import (
     adversarial_schedule,
     crash_vertex_reading,
     dipole,
+    generate_random,
     simulate,
     standard_schedule,
     standard_schedule_II,
@@ -24,7 +26,16 @@ from onerelator import (
 )
 from onerelator.spheres import SphereComplex
 from onerelator.traffic import common_period
-from conftest import IDENT, bigon_pencil, bigon_sphere, uphill_two_edge, w
+from conftest import (
+    IDENT,
+    bigon_pencil,
+    bigon_sphere,
+    mirrored_pair,
+    tetrahedron,
+    triangle_pair,
+    uphill_two_edge,
+)
+from traffic_reference import simulate as reference_simulate
 
 
 def ngon(n):
@@ -165,6 +176,114 @@ def test_common_period():
     finite = FlowSchedule("f1", 2, ((Q(0), Q(0)), (Q(4), Q(4))))
     with pytest.raises(ScheduleError):
         common_period({"f1": finite, "f2": two})
+
+
+# -- simulation against the reference scan -----------------------------------
+
+
+def schedule(face, *bps):
+    """Periodic schedule through the given (time, position) breakpoints."""
+    bps = tuple((Q(t), Q(p)) for t, p in bps)
+    return FlowSchedule(face, int(bps[-1][1] - bps[0][1]), bps, period=bps[-1][0])
+
+
+def random_schedule(face, rng):
+    """Periodic schedule with random speeds, corner stops and parking inside
+    edges: the car parks wherever a position repeats."""
+    n = len(face.boundary)
+    start = Q(rng.randrange(4 * n), 4)
+    marks = sorted(Q(rng.randrange(4 * n + 1), 4) for _ in range(rng.randrange(4)))
+    bps = [(Q(0), start)]
+    for m in marks + [n]:
+        if rng.random() < 0.5:
+            bps.append((bps[-1][0] + Q(rng.randrange(1, 5), 2), bps[-1][1]))
+        bps.append((bps[-1][0] + Q(rng.randrange(1, 5), 2), start + m))
+    return FlowSchedule(face.id, n, tuple(bps), period=bps[-1][0])
+
+
+def assert_matches_reference(k, sch, horizon):
+    assert simulate(k, sch, horizon) == reference_simulate(k, sch, horizon)
+
+
+def test_reference_random_complexes_uniform_phases():
+    for seed in range(100):
+        rng = random.Random(seed)
+        for size in range(1, 9):
+            k = generate_random(seed, size)
+            sch = {
+                f.id: uniform_schedule(f, Q(rng.randrange(4 * len(f.boundary)), 4))
+                for f in k.faces
+            }
+            assert_matches_reference(k, sch, Q(13, 2))
+
+
+def test_reference_random_schedules():
+    hand_built = [
+        bigon_sphere(),
+        triangle_pair(),
+        mirrored_pair(),
+        tetrahedron(),
+        bigon_pencil(("a", "b", "")),
+        uphill_two_edge(),
+    ]
+    for seed in range(60):
+        rng = random.Random(seed)
+        k = hand_built[seed % 6] if seed < 30 else generate_random(seed, seed % 6 + 1)
+        sch = {f.id: random_schedule(f, rng) for f in k.faces}
+        assert_matches_reference(k, sch, Q(12))
+
+
+def test_reference_outer_car_plans():
+    for seed in range(20):
+        k = generate_random(seed, seed % 5 + 1)
+        assert_matches_reference(k, uphill_schedule(k, Q(1, 3), Q(12)), Q(12))
+        inf_face = k.face_map[k.e_infinity]
+        if len(inf_face.boundary) != 1:
+            continue
+        eid = inf_face.boundary[0][0]
+        opp = [f for f, _ in k.edge_incidences(eid) if f != k.e_infinity][0]
+        sch = {f.id: uniform_schedule(f) for f in k.faces}
+        sch[k.e_infinity] = adversarial_schedule(k, sch[opp], Q(1, 3), Q(12))
+        assert_matches_reference(k, sch, Q(12))
+    k = uphill_two_edge()
+    assert_matches_reference(k, uphill_schedule(k, Q(1, 2), Q(24)), Q(24))
+
+
+def test_reference_parked_across_stay_boundary():
+    """Both cars park at the middle of e1; f1's parking is split at t = 1."""
+    k = bigon_sphere()
+    sch = {
+        "f1": schedule("f1", (0, Q(1, 2)), (1, Q(1, 2)), (2, Q(1, 2)), (4, Q(5, 2))),
+        "f2": schedule("f2", (0, Q(3, 2)), (3, Q(3, 2)), (5, Q(7, 2))),
+    }
+    events = simulate(k, sch, Q(6))
+    assert events == reference_simulate(k, sch, Q(6))
+    parked = {e.time for e in events if e.site == ("edge", "e1", Q(1, 2))}
+    assert {Q(0), Q(1)} <= parked
+
+
+def test_reference_meeting_at_shared_endpoint():
+    """Both cars reach the middle of e1 at t = 1, where each changes speed."""
+    k = bigon_sphere()
+    sch = {
+        "f1": schedule("f1", (0, 0), (1, Q(1, 2)), (2, 2)),
+        "f2": schedule("f2", (0, 0), (Q(1, 2), 1), (1, Q(3, 2)), (3, 2)),
+    }
+    events = simulate(k, sch, Q(6))
+    assert events == reference_simulate(k, sch, Q(6))
+    assert CrashEvent(Q(1), ("edge", "e1", Q(1, 2)), ("f1", "f2"), True) in events
+
+
+def test_reference_corner_stop_across_period():
+    """f1 waits at u over [3, 5], across its period boundary at 4."""
+    k = bigon_sphere()
+    sch = {
+        "f1": schedule("f1", (0, 0), (1, 0), (3, 2), (4, 2)),
+        "f2": uniform_schedule(k.face_map["f2"]),
+    }
+    events = simulate(k, sch, Q(10))
+    assert events == reference_simulate(k, sch, Q(10))
+    assert CrashEvent(Q(4), ("vertex", "u"), ("f1", "f2"), True) in events
 
 
 # -- crash-vertex readings ----------------------------------------------------
