@@ -274,9 +274,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_shape(argv: Sequence[str]) -> list[str]:
+    """Join ``--target-shape`` and a value such as ``-1,1`` into one argument.
+
+    argparse reads a separate value that starts with a minus sign, and is
+    not a plain negative number, as an unknown option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if out and out[-1] == "--target-shape" and negative:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_shape(sys.argv[1:] if argv is None else argv))
     started = time.monotonic()
     try:
         result = args.func(args)

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from onerelator import generate_random, save_complex
 from onerelator.cli import main
 
 GOLDEN = "tests/data/random_seed0_size3.json"
@@ -159,6 +158,17 @@ def test_search_kernel_miss(capsys):
     )
     assert code == 0
     assert out["report"]["found"] is None
+
+
+def test_search_kernel_negative_shape_forms_agree(capsys):
+    """A shape starting with a minus sign may follow its flag as its own argument."""
+    common = ("search-kernel", "--word", "bTat", "--conj-len", "2", "--products", "2")
+    outputs = []
+    for shape in (("--target-shape", "-1,1"), ("--target-shape=-1,1",)):
+        assert main([*common, *shape]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["report"]["target_shape"] == [-1, 1]
 
 
 # -- determinism --------------------------------------------------------------
