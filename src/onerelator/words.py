@@ -13,6 +13,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 STABLE = "t"
 AUX = "s"
 RESERVED = frozenset({STABLE, AUX})
+#: largest exponent magnitude ``parse_word`` accepts; each power is expanded
+#: into that many letters
+MAX_EXPONENT = 10_000
 
 #: a signed letter: (generator symbol, +1 or -1)
 Letter = tuple[str, int]
@@ -142,8 +145,9 @@ def parse_word(
 ) -> Word:
     """Parse the surface syntax: letters, uppercase inverses, optional ``^k``.
 
-    Raises :class:`WordSyntaxError` with the offending position, or
-    ``ValueError`` for generators outside ``alphabet``.
+    Raises :class:`WordSyntaxError` with the offending position, also for an
+    exponent above ``MAX_EXPONENT`` in magnitude, or ``ValueError`` for
+    generators outside ``alphabet``.
     """
     alpha = frozenset(alphabet)
     known = alpha | {STABLE} | ({AUX} if allow_aux else frozenset())
@@ -170,6 +174,11 @@ def parse_word(
                 k += 1
             if k == j:
                 raise WordSyntaxError("expected integer exponent after '^'", i)
+            # compare digit counts first: int() is slow on, and past 4300
+            # digits refuses, very long digit strings
+            magnitude = text[j:k].lstrip("0") or "0"
+            if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
+                raise WordSyntaxError(f"exponent above {MAX_EXPONENT} in magnitude", i)
             count = int(text[i + 1 : k])
             if count == 0:
                 raise WordSyntaxError("zero exponent not allowed", i)

@@ -23,7 +23,7 @@ from onerelator import (
     parse_word,
     t_shape,
 )
-from onerelator.words import least_rotation, substitute
+from onerelator.words import MAX_EXPONENT, least_rotation, substitute
 
 AB = free_alphabet(2)
 SYMS = sorted(AB) + [STABLE]
@@ -99,6 +99,17 @@ def test_parse_word_basics():
     with pytest.raises(WordSyntaxError):
         parse_word("s", AB)
     assert parse_word("s", AB, allow_aux=True).letters == (("s", 1),)
+
+
+def test_parse_word_caps_exponents():
+    """Powers are expanded letter by letter, so hostile exponents are refused."""
+    assert len(parse_word(f"a^{MAX_EXPONENT}", AB).letters) == MAX_EXPONENT
+    assert parse_word(f"a^-{MAX_EXPONENT}", AB) == parse_word(f"A^{MAX_EXPONENT}", AB)
+    assert parse_word("a^0003", AB) == parse_word("aaa", AB)
+    for text in (f"b a^{MAX_EXPONENT + 1}", "b a^-99999999999", "b a^" + "9" * 5000):
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(text, AB)
+        assert exc.value.position == 3
 
 
 # -- anatomy -----------------------------------------------------------------
