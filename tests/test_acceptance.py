@@ -39,7 +39,6 @@ from onerelator import (
     verify_at_least_two_crashes,
     word_key,
 )
-from onerelator.traffic import _floor  # noqa: F401  (exactness helper)
 from conftest import IDENT, bigon_pencil, mirrored_pair, triangle_pair
 
 from onerelator import read_face_word

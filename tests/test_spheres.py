@@ -11,7 +11,6 @@ from onerelator import (
     Face,
     RelatorSet,
     SphereComplex,
-    Word,
     check_csl,
     complex_from_dict,
     complex_to_dict,

@@ -26,7 +26,6 @@ from onerelator import (
     phi,
     stratum_membership,
     substitute_aux,
-    t_shape,
 )
 
 AB = free_alphabet(2)

@@ -13,7 +13,6 @@ from onerelator import (
     amenable_shape,
     analyze,
     collapse_isomorphism,
-    exponent_sum,
     free_alphabet,
     normal_closure_search,
     one_relator_presentation,
