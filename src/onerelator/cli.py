@@ -275,15 +275,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_shape(argv: Sequence[str]) -> list[str]:
-    """Join ``--target-shape`` and a value such as ``-1,1`` into one argument.
+    """Join ``--target-shape`` (or a prefix argparse accepts for it) and a
+    value such as ``-1,1`` into one argument.
 
     argparse reads a separate value that starts with a minus sign, and is
     not a plain negative number, as an unknown option.
     """
     out: list[str] = []
     for arg in argv:
-        negative = arg[:1] == "-" and arg[1:2].isdigit()
-        if out and out[-1] == "--target-shape" and negative:
+        flag = out[-1] if out else ""
+        shape_flag = flag.startswith("--t") and "--target-shape".startswith(flag)
+        if shape_flag and arg[:1] == "-" and arg[1:2].isdigit():
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -164,10 +164,14 @@ def test_search_kernel_negative_shape_forms_agree(capsys):
     """A shape starting with a minus sign may follow its flag as its own argument."""
     common = ("search-kernel", "--word", "bTat", "--conj-len", "2", "--products", "2")
     outputs = []
-    for shape in (("--target-shape", "-1,1"), ("--target-shape=-1,1",)):
+    for shape in (
+        ("--target-shape", "-1,1"),
+        ("--target-shape=-1,1",),
+        ("--target", "-1,1"),
+    ):
         assert main([*common, *shape]) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert json.loads(outputs[0])["report"]["target_shape"] == [-1, 1]
 
 
