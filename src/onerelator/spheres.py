@@ -201,34 +201,11 @@ def validate_sphere(k: SphereComplex) -> ValidationReport:
                 problems.append(f"face {face.id}: corner {i} off its boundary vertex")
     if corner_ok and edge_pairing:
         for vid in k.vertices:
-            slots = []  # (in_end, out_end) per corner at vid
-            for face in k.faces:
-                for i, (cv, _) in enumerate(face.corners):
-                    if cv == vid:
-                        slots.append(_corner_ends(k, face, i))
-            ins = sorted(s[0] for s in slots)
-            outs = sorted(s[1] for s in slots)
-            if ins != outs or len(set(ins)) != len(ins):
+            try:
+                _vertex_cycle(k, vid)
+            except ValueError as exc:
                 links = False
-                problems.append(f"vertex {vid}: edge-end slots do not match up")
-                continue
-            nxt = {s_in: s_out for s_in, s_out in slots}
-            if not slots:
-                links = False
-                problems.append(f"vertex {vid}: no incident corners")
-                continue
-            start = slots[0][0]
-            count, cur = 0, start
-            while True:
-                cur = nxt[cur]
-                count += 1
-                if cur == start or count > len(slots):
-                    break
-            if count != len(slots):
-                links = False
-                problems.append(f"vertex {vid}: link is not a single cycle")
-    else:
-        links = corner_ok and links
+                problems.append(str(exc))
 
     return ValidationReport(
         euler=euler,
@@ -266,31 +243,34 @@ def read_face_word(k: SphereComplex, face_id: str, start: int = 0) -> Word:
 
 
 def _vertex_cycle(k: SphereComplex, vertex_id: str) -> list[tuple[str, int]]:
-    """Corners (face id, corner index) at a vertex, in link-cycle order."""
+    """Corners (face id, corner index) at a vertex, in link-cycle order.
+
+    Raises ValueError unless the edge-end slots of the corners form one
+    cycle through every corner.
+    """
     slots: dict[tuple[str, int], tuple[str, int]] = {}
     corners: dict[tuple[str, int], tuple[str, int]] = {}
+    ins = []
     for face in k.faces:
         for i, (cv, _) in enumerate(face.corners):
             if cv == vertex_id:
                 in_end, out_end = _corner_ends(k, face, i)
+                ins.append(in_end)
                 slots[out_end] = in_end  # traverse against the face orientation
                 corners[out_end] = (face.id, i)
-    if not slots:
+    if not ins:
         raise ValueError(f"vertex {vertex_id}: no incident corners")
+    if len(slots) != len(ins) or sorted(ins) != sorted(slots):
+        raise ValueError(f"vertex {vertex_id}: edge-end slots do not match up")
+    # the slots are a permutation, so the walk comes back to its start
     start = min(slots)
-    order = []
-    cur = start
-    while True:
+    order = [corners[start]]
+    cur = slots[start]
+    while cur != start:
         order.append(corners[cur])
-        cur_in = slots[cur]
-        if cur_in not in corners and cur_in not in slots:
-            raise ValueError(f"vertex {vertex_id}: broken link")
-        # the next corner is the one whose outgoing slot is our incoming slot
-        cur = cur_in
-        if cur == start:
-            break
-        if len(order) > len(slots):
-            raise ValueError(f"vertex {vertex_id}: link is not a single cycle")
+        cur = slots[cur]
+    if len(order) != len(ins):
+        raise ValueError(f"vertex {vertex_id}: link is not a single cycle")
     return order
 
 

@@ -9,8 +9,8 @@ parameter m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import groupby
+from typing import Iterator, Optional
 
 from .words import (
     STABLE,
@@ -168,27 +168,55 @@ def _pair_word(d: Lemma2Decomposition, sym: str) -> Word:
     return free_reduce(raw)
 
 
-def _prefix_exponents(letters: Sequence[Letter]) -> list[int]:
-    out = [0]
-    for sym, sign in letters:
-        out.append(out[-1] + (sign if sym == STABLE else 0))
-    return out
+def _rotation_decomposition(
+    kernel: Word, prefix: Word, u0: Word
+) -> Optional[Lemma2Decomposition]:
+    """The decomposition of the rotation ``kernel * t`` of the cyclic
+    reduction, where ``prefix`` is the rotated-away part and ``u0`` the
+    conjugator of the cyclic reduction; None when it has none."""
+    k = kernel_canonical_form(kernel)
+    lo, hi = level_bounds(k)
+    k, m = k.shifted(-lo), hi - lo
+    factors = k.factors
+    pairs: list[tuple[KernelForm, KernelForm]] = []
+    done = 0  # factors already placed in a pair
+    pos = 0
+    for above, group in groupby(factors, key=lambda f: f[1] >= 1):
+        run = tuple(group)
+        if above and max(l for _, l in run) == m:
+            if pos == done:
+                return None  # b would be trivial, hence not in X
+            b, a = KernelForm(factors[done:pos]), KernelForm(run).shifted(-1)
+            pairs.append((b, a))
+            done = pos + len(run)
+        pos += len(run)
+    if not pairs:
+        return None
+    # conjugator v with v^-1 * (k t) * v == w
+    v = Word.generator(STABLE) ** lo * (prefix.inverse() * u0)
+    c = KernelForm(factors[done:])
+    d = Lemma2Decomposition(m=m, pairs=tuple(pairs), c=c, conjugator=v)
+    if d.reassemble() != expand(k) * Word.generator(STABLE):
+        return None
+    return d
 
 
 def decompositions(w: Word) -> Iterator[Lemma2Decomposition]:
-    """All stratum decompositions found by the bounded search, in canonical
-    order: parameter m ascending, then rotation, then cut positions.
+    """All stratum decompositions of ``w``, in canonical order: parameter m
+    ascending, then rotation of the cyclic reduction.
 
-    The search rotates the cyclic reduction of ``w`` to end in a t-letter,
-    shifts levels so the kernel part has minimum level zero, then splits the
-    kernel word at zero-exponent positions into alternating X- and
-    (shifted Y)-segments followed by a J-remainder.
+    Each rotation ending in a t-letter gives at most one decomposition, with
+    m the maximum level of its kernel part shifted to minimum level 0: no
+    segment rises above m, and each Z-segment a_i^t reaches it.  In a
+    reduced word two runs of factors at levels >= 1 could touch only through
+    a cancelling t t^-1, so every Z-segment is one whole run, and every run
+    that reaches level m fits only Z.  The factors before, between and after
+    those runs are b_0, ..., b_r and c.
     """
     if exponent_sum(w) != 1:
         raise NonzeroExponentSum("decomposition requires exponent sum 1")
     reduced, u0 = cyclic_reduce(w)
     letters = reduced.letters
-    n = len(letters)
 
     gt = is_conjugate_to_gt(w)
     if gt is not None:
@@ -199,78 +227,15 @@ def decompositions(w: Word) -> Iterator[Lemma2Decomposition]:
         yield Lemma2Decomposition(m=1, pairs=(), c=c, conjugator=u0)
         return
 
-    # candidate rotations ending in a positive t-letter, with level shift
-    candidates = []
-    for i in range(n):
+    found = []
+    for i in range(len(letters)):
         rot = letters[i:] + letters[:i]
-        if rot[-1] != (STABLE, 1):
-            continue
-        k_letters = rot[:-1]
-        pref = _prefix_exponents(k_letters)
-        # factor levels are -prefix_exponent at base letters only
-        base_levels = [
-            -pref[j] for j, (sym, _) in enumerate(k_letters) if sym != STABLE
-        ]
-        if not base_levels:
-            continue  # pure t-power kernel part cannot occur for a non-gt word
-        shift = -min(base_levels)
-        raw = (
-            [(STABLE, -1)] * shift + list(k_letters) + [(STABLE, 1)] * shift
-            if shift >= 0
-            else [(STABLE, 1)] * (-shift) + list(k_letters) + [(STABLE, -1)] * (-shift)
-        )
-        k_word = free_reduce(raw)
-        # conjugator v with v^-1 * (k_word t) * v == w
-        prefix = Word(letters[:i])
-        v = free_reduce([(STABLE, -1 if shift > 0 else 1)] * abs(shift)) * (
-            prefix.inverse() * u0
-        )
-        candidates.append((k_word, v, max(base_levels) + shift))
-
-    global_max = max(ml for _, _, ml in candidates)
-    for m in range(1, global_max + 1):
-        for k_word, v, max_level in candidates:
-            if max_level < m:
-                continue
-            kl = k_word.letters
-            pref = _prefix_exponents(kl)
-            cut_positions = [j for j in range(1, len(kl)) if pref[j] == 0]
-            max_pairs = (len(cut_positions) + 2) // 2
-            for npairs in range(1, max_pairs + 1):
-                for cuts in combinations(cut_positions + [len(kl)], 2 * npairs):
-                    segs = []
-                    prev = 0
-                    for c_pos in cuts:
-                        segs.append(kl[prev:c_pos])
-                        prev = c_pos
-                    rest = kl[prev:]
-                    if any(not seg for seg in segs):
-                        continue
-                    ok = True
-                    pairs = []
-                    for idx in range(npairs):
-                        b = kernel_canonical_form(Word(segs[2 * idx]))
-                        a_shift = kernel_canonical_form(Word(segs[2 * idx + 1]))
-                        if (
-                            b.is_identity()
-                            or a_shift.is_identity()
-                            or not stratum_membership(b, m).x
-                            or not stratum_membership(a_shift, m).z
-                        ):
-                            ok = False
-                            break
-                        pairs.append((b, a_shift.shifted(-1)))
-                    if not ok:
-                        continue
-                    c_form = kernel_canonical_form(Word(rest))
-                    if not stratum_membership(c_form, m).j:
-                        continue
-                    d = Lemma2Decomposition(
-                        m=m, pairs=tuple(pairs), c=c_form, conjugator=v
-                    )
-                    if d.reassemble() != k_word * Word(((STABLE, 1),)):
-                        continue
-                    yield d
+        if rot[-1] == (STABLE, 1):
+            d = _rotation_decomposition(Word(rot[:-1]), Word(letters[:i]), u0)
+            if d is not None:
+                found.append(d)
+    found.sort(key=lambda d: d.m)  # stable, so rotations stay in order
+    yield from found
 
 
 def lemma2_decompose(w: Word) -> Lemma2Decomposition:

@@ -200,14 +200,14 @@ def _pieces(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
 class _EdgeStay:
     face: str
     step: int
-    direction: int
     t0: Q
     t1: Q
     c0: Q  # tail-based edge coordinate at t0
     c1: Q
+    slope: Q  # (c1 - c0) / (t1 - t0)
 
     def coord(self, t: Q) -> Q:
-        return self.c0 + (self.c1 - self.c0) * (t - self.t0) / (self.t1 - self.t0)
+        return self.c0 + self.slope * (t - self.t0)
 
 
 def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
@@ -249,9 +249,8 @@ def _occupancy(face: Face, s: FlowSchedule, t_end: Q) -> tuple[_EdgeMap, _Corner
         eid, d = face.boundary[step]
         f0, f1 = p0 - j, p1 - j
         c0, c1 = (f0, f1) if d > 0 else (1 - f0, 1 - f1)
-        edges.setdefault(eid, []).append(
-            _EdgeStay(face.id, step, d, t0, t1, c0, c1)
-        )
+        stay = _EdgeStay(face.id, step, t0, t1, c0, c1, (c1 - c0) / (t1 - t0))
+        edges.setdefault(eid, []).append(stay)
     for key, spans in corners.items():
         corners[key] = _merge_intervals(spans)
     return edges, corners

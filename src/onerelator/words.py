@@ -42,6 +42,8 @@ def make_alphabet(symbols: Iterable[str]) -> frozenset[str]:
 
 def free_alphabet(rank: int) -> frozenset[str]:
     """The first ``rank`` letters a, b, c, ... (skipping reserved symbols)."""
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     symbols = []
     for code in range(ord("a"), ord("z") + 1):
         sym = chr(code)

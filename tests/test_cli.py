@@ -248,6 +248,11 @@ def test_bad_rank_word_exits_2(capsys):
     assert code == 2
 
 
+def test_rank_below_one_exits_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--word", "t", "--rank", "0")
+    assert code == 2 and out is None and "rank must be at least 1" in err
+
+
 def test_decompose_nonunit_exponent_exits_2(capsys):
     code, _, _ = run_cli(capsys, "decompose", "--word", "att")
     assert code == 2

@@ -125,6 +125,21 @@ def test_vertex_word_cancelling_labels():
     assert read_vertex_word(k, "Q").is_identity()
 
 
+def test_vertex_word_refuses_link_of_two_cycles():
+    """A wedge of two dipoles: the link at v is two cycles, a A and b b."""
+    faces = (
+        Face("f1", (("e1", 1),), (("v", w("a")),)),
+        Face("f2", (("e1", -1),), (("v", w("A")),)),
+        Face("f3", (("e2", 1),), (("v", w("b")),)),
+        Face("f4", (("e2", -1),), (("v", w("b")),)),
+    )
+    k = SphereComplex(("v",), (("e1", "v", "v"), ("e2", "v", "v")), faces)
+    message = "vertex v: link is not a single cycle"
+    assert message in validate_sphere(k).problems
+    with pytest.raises(ValueError, match=message):
+        read_vertex_word(k, "v")
+
+
 def test_vertex_word_v0_undefined():
     k = generate_random(0, 2)
     with pytest.raises(ValueError):

@@ -28,7 +28,10 @@ from onerelator import (
     substitute_aux,
 )
 
+from strata_reference import decompositions as reference_decompositions
+
 AB = free_alphabet(2)
+ABC = free_alphabet(3)
 SYMS = sorted(AB) + [STABLE]
 
 
@@ -176,14 +179,71 @@ def test_decompositions_canonical_order():
 @given(st.integers(0, 10**9))
 def test_decompose_random_round_trip(seed):
     rng = random.Random(seed)
-    raw = [
-        (rng.choice(SYMS), rng.choice([1, -1]))
-        for _ in range(rng.randint(1, 8))
-    ]
-    word = free_reduce(raw)
-    if exponent_sum(word) != 1:
-        return
+    syms = sorted(ABC) + [STABLE]
+    while True:
+        raw = [
+            (rng.choice(syms), rng.choice([1, -1]))
+            for _ in range(rng.randint(1, 40))
+        ]
+        word = free_reduce(raw)
+        if exponent_sum(word) == 1:
+            break
     check_decomposition(word, lemma2_decompose(word))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "aBABBaBtAbATTaatAtABtABabaBBAAbABAAATAtbtBBBTAAT",
+        "aabTTaattaBTbAtAAAtBAbbABaBA",
+    ],
+)
+def test_decompose_long_words(text):
+    """Words on which the exponential cut search took seconds to minutes."""
+    word = w(text)
+    ds = list(decompositions(word))
+    assert ds and lemma2_decompose(word) == ds[0]
+    for d in ds:
+        check_decomposition(word, d)
+
+
+def assert_matches_reference(word):
+    expected = list(reference_decompositions(word))
+    assert list(decompositions(word)) == expected
+    if expected:
+        assert lemma2_decompose(word) == expected[0]
+    else:
+        with pytest.raises(ValueError):
+            lemma2_decompose(word)
+
+
+def test_decompositions_match_reference_exhaustive():
+    """Every exponent-sum-one reduced word of length <= 7 over a, b, t."""
+    pool = [(s, e) for s in SYMS for e in (1, -1)]
+    count = 0
+    for n in range(8):
+        for combo in itertools.product(pool, repeat=n):
+            word = free_reduce(combo)
+            if len(word) == n and exponent_sum(word) == 1:
+                assert_matches_reference(word)
+                count += 1
+    assert count == 21921
+
+
+def test_decompositions_match_reference_random():
+    """Seeded random words of 10 to 20 letters over a, b, c, t."""
+    rng = random.Random(20)
+    syms = sorted(ABC) + [STABLE]
+    count = 0
+    while count < 200:
+        raw = [
+            (rng.choice(syms), rng.choice([1, -1]))
+            for _ in range(rng.randint(10, 20))
+        ]
+        word = free_reduce(raw)
+        if exponent_sum(word) == 1:
+            assert_matches_reference(word)
+            count += 1
 
 
 # -- two-variable words ------------------------------------------------------

@@ -67,6 +67,15 @@ def test_alphabet_validation():
     assert "t" not in free_alphabet(5) and "s" not in free_alphabet(5)
 
 
+def test_free_alphabet_rank_bounds():
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            free_alphabet(rank)
+    with pytest.raises(ValueError, match="rank too large"):
+        free_alphabet(25)
+    assert len(free_alphabet(24)) == 24
+
+
 def test_word_requires_reduced():
     with pytest.raises(ValueError):
         Word((("a", 1), ("a", -1)))
