@@ -185,6 +185,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 def cmd_certify(args: argparse.Namespace) -> dict:
     w = _parse(args.word, args.rank)
     pres = one_relator_presentation(w, args.rank)
+    if args.max_degree < 1:
+        raise InputError(f"--max-degree must be at least 1, got {args.max_degree}")
     if args.max_degree > 8:
         raise InputError("--max-degree is capped at 8")
     cert = quotient_certificate(pres, args.max_degree)

@@ -190,7 +190,6 @@ def validate_sphere(k: SphereComplex) -> ValidationReport:
         bad = [eid for eid, ds in usage.items() if sorted(ds) != [-1, 1]]
         problems.append(f"edges not used once per direction: {bad}")
 
-    links = True
     corner_ok = True
     for face in k.faces:
         for i, (vid, _) in enumerate(face.corners):
@@ -199,7 +198,10 @@ def validate_sphere(k: SphereComplex) -> ValidationReport:
             ) != vid:
                 corner_ok = False
                 problems.append(f"face {face.id}: corner {i} off its boundary vertex")
-    if corner_ok and edge_pairing:
+    # links are walked only over well-formed corners and edges; a link that
+    # was not walked is not reported as passing
+    links = corner_ok and edge_pairing
+    if links:
         for vid in k.vertices:
             try:
                 _vertex_cycle(k, vid)
@@ -211,7 +213,7 @@ def validate_sphere(k: SphereComplex) -> ValidationReport:
         euler=euler,
         connected=connected,
         edge_pairing=edge_pairing,
-        links=links and corner_ok,
+        links=links,
         problems=tuple(problems),
     )
 

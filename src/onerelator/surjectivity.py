@@ -332,18 +332,29 @@ def _word_image(w: Word, images: Mapping[str, Perm], degree: int) -> Perm:
     return cur
 
 
-def _subgroup_closure(gens: Sequence[Perm], degree: int) -> set[Perm]:
-    identity = tuple(range(degree))
+def _in_subgroup(target: Perm, gens: Sequence[Perm]) -> bool:
+    """Whether target lies in the subgroup generated by gens.
+
+    A breadth-first walk from the identity that stops as soon as it reaches
+    target; only a non-member costs the whole subgroup.
+    """
+    identity = tuple(range(len(target)))
+    if target == identity:
+        return True
     seen = {identity}
     frontier = [identity]
     while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = _compose(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+        nxt = []
+        for cur in frontier:
+            for g in gens:
+                p = _compose(cur, g)
+                if p == target:
+                    return True
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return False
 
 
 def _partitions(n: int):
@@ -377,6 +388,21 @@ class QuotientCertificate:
     witness: str
 
 
+def _t_solver(relators: Sequence[Word]) -> Optional[tuple[Word, int]]:
+    """``(B*A, epsilon)`` for the first relator ``A t^epsilon B`` with one t.
+
+    Such a relator is the identity exactly when the image of t^epsilon is
+    the inverse of the image of ``B*A``, so t's image is forced.
+    """
+    for r in relators:
+        spots = [i for i, (sym, _) in enumerate(r.letters) if sym == STABLE]
+        if len(spots) == 1:
+            i = spots[0]
+            # B*A is a rotation of the cyclically reduced r minus its t
+            return Word(r.letters[i + 1:] + r.letters[:i]), r.letters[i][1]
+    return None
+
+
 def _quotients(pres: Presentation, max_degree: int):
     """Permutation quotients of degree 1 to ``max_degree`` (at most 8), in
     deterministic order.
@@ -384,26 +410,42 @@ def _quotients(pres: Presentation, max_degree: int):
     Yields ``(degree, images)`` for every generator-image assignment that
     sends each relator to the identity.  The first base generator ranges
     over conjugacy-class representatives only: conjugating all images at
-    once preserves both the relator check and the membership witness.
+    once preserves both the relator check and the membership witness.  The
+    other base generators range over all of ``S_n`` in ``product`` order,
+    with t innermost.
+
+    When some relator ``A t^epsilon B`` has exactly one t, t's image is
+    solved rather than enumerated: the first such relator forces t^epsilon
+    to the inverse of the image of ``B*A``, so each base assignment has one
+    candidate, still checked against every relator.  A degree n then costs
+    p(n) * (n!)^(rank-1) base assignments, p(n) the number of partitions of
+    n; without such a relator every one of them tries all n! images of t.
     """
     if max_degree > 8:
         raise ValueError("max_degree is capped at 8")
     gens = list(pres.generators)
     rest = gens[1:] if gens else []
+    solver = _t_solver(pres.relators)
     for degree in range(1, max_degree + 1):
         identity = tuple(range(degree))
         all_perms = sorted(permutations(range(degree)))
         for first in _class_representatives(degree):
-            for tail in product(all_perms, repeat=len(rest) + 1):
-                images = {gens[0]: first} if gens else {}
-                for g, p in zip(rest, tail):
-                    images[g] = p
-                images[STABLE] = tail[-1]
-                if all(
-                    _word_image(r, images, degree) == identity
-                    for r in pres.relators
-                ):
-                    yield degree, images
+            for tail in product(all_perms, repeat=len(rest)):
+                base = {gens[0]: first} if gens else {}
+                base.update(zip(rest, tail))
+                if solver is None:
+                    t_candidates = all_perms
+                else:
+                    ba, eps = solver
+                    forced = _word_image(ba, base, degree)
+                    t_candidates = (_inverse_perm(forced) if eps > 0 else forced,)
+                for t_image in t_candidates:
+                    images = {**base, STABLE: t_image}
+                    if all(
+                        _word_image(r, images, degree) == identity
+                        for r in pres.relators
+                    ):
+                        yield degree, images
 
 
 def quotient_certificate(
@@ -412,12 +454,13 @@ def quotient_certificate(
     """A finite permutation quotient where t's image escapes G's image.
 
     Such a quotient certifies non-surjectivity independently of the theorem;
-    absence of a certificate is not a refutation.
+    absence of a certificate is not a refutation.  The quotients come from
+    ``_quotients`` in its order, so t is solved when a relator has one t,
+    and each is tested by a membership walk that stops once it reaches t's
+    image: only the certificate itself costs a whole subgroup.
     """
     for n, images in _quotients(pres, max_degree):
-        base_images = [images[g] for g in pres.generators]
-        closure = _subgroup_closure(base_images, n)
-        if images[STABLE] not in closure:
+        if not _in_subgroup(images[STABLE], [images[g] for g in pres.generators]):
             return QuotientCertificate(
                 degree=n,
                 images=images,
@@ -448,7 +491,18 @@ def verify_certificate(pres: Presentation, cert: QuotientCertificate) -> bool:
             cur = tuple(p[i] for i in cur)
         if cur != identity:
             return False
-    closure = _subgroup_closure([cert.images[g] for g in pres.generators], n)
+    # the whole subgroup generated by the base images, walked here rather
+    # than by the search's membership test
+    closure = {identity}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in pres.generators:
+            p = cert.images[g]
+            nxt = tuple(p[i] for i in cur)
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
     return cert.images[STABLE] not in closure
 
 

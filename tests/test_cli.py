@@ -291,6 +291,15 @@ def test_degree_cap_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_degree_below_one_exits_2(capsys, degree):
+    code, out, err = run_cli(
+        capsys, "certify", "--word", "at", f"--max-degree={degree}"
+    )
+    assert code == 2 and out is None
+    assert f"--max-degree must be at least 1, got {degree}" in err
+
+
 def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

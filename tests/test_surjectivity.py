@@ -1,6 +1,7 @@
 """Verdicts, collapse witnesses, closure search and finite quotients."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,9 @@ from onerelator import (
     amenable_shape,
     analyze,
     collapse_isomorphism,
+    cyclic_reduce,
     free_alphabet,
+    free_reduce,
     normal_closure_search,
     one_relator_presentation,
     order_evidence,
@@ -22,8 +25,16 @@ from onerelator import (
     t_shape,
     verify_certificate,
 )
-from onerelator.surjectivity import _reduced_words
+from onerelator import surjectivity
+from onerelator.surjectivity import (
+    _perm_order,
+    _quotients,
+    _reduced_words,
+    _t_solver,
+    _word_image,
+)
 from conftest import AB, w
+import surjectivity_reference as reference
 
 
 def wab(text):
@@ -59,8 +70,6 @@ def test_collapse_random_conjugates():
     pool = [(s, e) for s in ("a", "b", STABLE) for e in (1, -1)]
     for _ in range(50):
         g_raw = [rng.choice([("a", 1), ("a", -1), ("b", 1), ("b", -1)]) for _ in range(rng.randint(0, 3))]
-        from onerelator import free_reduce
-
         g = free_reduce(g_raw)
         u = free_reduce([rng.choice(pool) for _ in range(rng.randint(0, 4))])
         eps = rng.choice([1, -1])
@@ -268,3 +277,95 @@ def test_order_evidence():
     assert order_evidence(parse_word("t", a1), tw, 4) == 3
     with pytest.raises(ValueError):
         order_evidence(parse_word("taT", a1), gt, 4)
+
+
+# -- the quotient search against its reference ---------------------------------
+
+
+def cyclically_reduced_words(symbols, max_len):
+    """Every cyclically reduced nonempty word of length <= max_len, sorted."""
+    pool = [(s, e) for s in symbols for e in (1, -1)]
+    found = set()
+    for n in range(1, max_len + 1):
+        for combo in itertools.product(pool, repeat=n):
+            word = free_reduce(combo)
+            if len(word) == n and cyclic_reduce(word)[0] == word:
+                found.add(word.letters)
+    return [Word(letters) for letters in sorted(found)]
+
+
+def assert_quotients_match_reference(pres, degree):
+    assert list(_quotients(pres, degree)) == list(reference._quotients(pres, degree))
+    assert quotient_certificate(pres, degree) == reference.quotient_certificate(
+        pres, degree
+    )
+
+
+def test_quotients_match_reference_exhaustive():
+    words = cyclically_reduced_words(["a", "b", STABLE], 5)
+    assert len(words) == 1422
+    for word in words:
+        assert_quotients_match_reference(one_relator_presentation(word, 2), 3)
+
+
+def test_quotients_match_reference_sampled():
+    rng = random.Random(11)
+    words = cyclically_reduced_words(["a", "b", STABLE], 5)
+    for word in rng.sample(words, 12):
+        assert_quotients_match_reference(one_relator_presentation(word, 2), 4)
+    for text in ("abT", "cTab", "atbtcT", "ct"):
+        assert_quotients_match_reference(one_relator_presentation(w(text), 3), 3)
+
+
+def test_order_evidence_matches_reference():
+    for text in ("at", "bAT", "abAt", "taBB", "btbAT"):
+        pres = one_relator_presentation(wab(text), 2)
+        for x in ("t", "tt", "tat"):
+            word = wab(x)
+            expected = max(
+                _perm_order(_word_image(word, images, n))
+                for n, images in reference._quotients(pres, 4)
+            )
+            assert order_evidence(word, pres, 4) == expected
+
+
+def test_t_solved_from_the_first_relator_with_one_t():
+    pres = Presentation(generators=("a", "b"), relators=(wab("atbt"), wab("abT")))
+    # abT = A t^-1 B with A = ab and B empty
+    assert _t_solver(pres.relators) == (wab("ab"), -1)
+    assert list(_quotients(pres, 3)), "some quotient must be checked"
+    assert_quotients_match_reference(pres, 4)
+    no_t_first = Presentation(generators=("a", "b"), relators=(wab("aa"), wab("abbT")))
+    assert _t_solver(no_t_first.relators) == (wab("abb"), -1)
+    assert_quotients_match_reference(no_t_first, 4)
+
+
+def test_t_solved_from_t_inverse_and_bare_t():
+    # cyclic reduction rotates aTbAB to bABaT; B*A reads the same either way
+    once_inverse = one_relator_presentation(wab("aTbAB"), 2)
+    assert _t_solver(once_inverse.relators) == (wab("bABa"), -1)
+    assert_quotients_match_reference(once_inverse, 4)
+    bare = one_relator_presentation(w("t", free_alphabet(1)), 1)
+    assert _t_solver(bare.relators) == (Word(), 1)
+    assert_quotients_match_reference(bare, 5)
+    # t is solved to the identity, so every quotient is one of <a> alone
+    assert all(images[STABLE] == tuple(range(n)) for n, images in _quotients(bare, 4))
+    no_generators = Presentation(generators=(), relators=(wab("t"),))
+    assert_quotients_match_reference(no_generators, 3)
+
+
+def test_t_enumerated_without_a_relator_with_one_t():
+    pres = one_relator_presentation(wab("atbt"), 2)
+    assert _t_solver(pres.relators) is None
+    assert_quotients_match_reference(pres, 4)
+
+
+def test_verify_certificate_does_not_use_the_membership_test(monkeypatch):
+    pres = one_relator_presentation(parse_word("aTatt", free_alphabet(1)), 1)
+    cert = quotient_certificate(pres, 4)
+
+    def refuse(*_):
+        raise AssertionError("verify_certificate called the search's membership test")
+
+    monkeypatch.setattr(surjectivity, "_in_subgroup", refuse)
+    assert verify_certificate(pres, cert)
