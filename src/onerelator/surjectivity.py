@@ -10,14 +10,13 @@ of G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .words import (
     STABLE,
     Letter,
     Word,
-    _reduce,
     cyclic_reduce,
     exponent_sum,
     free_alphabet,
@@ -187,10 +186,23 @@ def normal_closure_search(
 ) -> Optional[SearchHit]:
     """First bounded product of conjugates of w with the target t-shape.
 
-    Products of at most product_bound factors u w^(+-1) u^-1 with |u| bounded
-    by conj_len_bound are enumerated in deterministic order (factor count,
-    then factor indices); returns the first product whose t-shape matches, or
-    None when the bounded space is exhausted.
+    The factors are the elements u w^(+-1) u^-1 for reduced conjugators u
+    over the alphabet and t with |u| <= conj_len_bound, ordered by u (length,
+    then ``word_key``) with sign +1 before -1; an element equal to an
+    earlier factor is dropped.  Products of 1 to product_bound factors are
+    tried by factor count, then by factor-index tuple in lexicographic
+    order, skipping every tuple in which a factor is directly followed by
+    its own inverse.  Returns the first product whose t-shape is
+    target_shape, or None when the bounded space is exhausted.
+
+    With F factors, d factors cost up to F^(d-1) prefixes and one bucket
+    lookup per prefix.  Each prefix carries its reduced letters, t-count and
+    exponent sum.  When the first k letters of the last factor cancel, the
+    product keeps the prefix's t letters plus the factor's, less twice the t
+    letters among those k.  So the lookup takes only factors with the
+    exponent sum still needed and a t-count that can cancel down to the
+    target's; those that must cancel a t start with the inverse of the
+    prefix's last letter, the others may start with any letter.
     """
     if conj_len_bound < 1 or product_bound < 1:
         raise ValueError("bounds must be at least 1")
@@ -199,112 +211,76 @@ def normal_closure_search(
         alphabet = {sym for sym, _ in w.letters if sym != STABLE}
     symbols = sorted(set(alphabet)) + [STABLE]
 
-    factors: list[tuple[Word, Word, int]] = []  # (element, conjugator, sign)
-    seen: set[tuple[Letter, ...]] = set()
+    index: dict[tuple[Letter, ...], int] = {}  # factor letters -> index
+    factors: list[tuple[Word, int]] = []  # (conjugator u, sign of w)
     for u in _reduced_words(symbols, conj_len_bound):
         for sign in (1, -1):
-            elem = u * (w if sign > 0 else w.inverse()) * u.inverse()
-            if elem.letters not in seen:
-                seen.add(elem.letters)
-                factors.append((elem, u, sign))
-
+            elem = (u * (w if sign > 0 else w.inverse()) * u.inverse()).letters
+            if elem not in index:
+                index[elem] = len(factors)
+                factors.append((u, sign))
+    letters_of = list(index)
+    n = len(letters_of)
     ex_w = exponent_sum(w)
+    ex_of = [sign * ex_w for _, sign in factors]
+    # cancel_by[i][j] is the prefix letter that cancels letter j of factor i
+    cancel_by = [tuple((s, -e) for s, e in f) for f in letters_of]
+    inv_of = [index[c[::-1]] for c in cancel_by]
+    # tcs[i][k]: t letters among the first k letters of factor i
+    tcs = [list(accumulate((s == STABLE for s, _ in f), initial=0)) for f in letters_of]
+    # keyed by (first letter, t-count, exponent sum); first letter None
+    # files every factor, for a last factor that need cancel no t
+    buckets: dict[tuple[Optional[Letter], int, int], list[int]] = {}
+    for i, f in enumerate(letters_of):
+        for first in (f[0], None) if f else (None,):
+            buckets.setdefault((first, tcs[i][-1], ex_of[i]), []).append(i)
     target_ex = sum(target_shape)
     target_tc = sum(abs(q) for q in target_shape)
-    ex_of = [sign * ex_w for _, _, sign in factors]
-    tc_of = [sum(1 for s, _ in f.letters if s == STABLE) for f, _, _ in factors]
-    inv_index: dict[tuple[Letter, ...], int] = {
-        f.inverse().letters: i for i, (f, _, _) in enumerate(factors)
-    }
-    # per-factor prefix t-counts, for the cancellation filter
-    pref_tc: list[list[int]] = []
-    for f, _, _ in factors:
-        acc = [0]
-        for sym, _ in f.letters:
-            acc.append(acc[-1] + (1 if sym == STABLE else 0))
-        pref_tc.append(acc)
 
-    # iteratively deepened exact-depth passes keep the canonical order:
-    # all products of d factors are inspected before any product of d+1
-    for depth in range(1, product_bound + 1):
-        hit = _exact_depth_search(
-            factors, ex_of, tc_of, pref_tc, inv_index,
-            ex_w, target_ex, target_tc, target_shape, depth,
-        )
-        if hit is not None:
-            return hit
-    return None
+    def cancelled(prefix: tuple[Letter, ...], i: int) -> int:
+        c, m = cancel_by[i], len(prefix)
+        k, lim = 0, min(m, len(c))
+        while k < lim and prefix[m - 1 - k] == c[k]:
+            k += 1
+        return k
 
-
-def _exact_depth_search(
-    factors, ex_of, tc_of, pref_tc, inv_index,
-    ex_w, target_ex, target_tc, target_shape, depth,
-):
-    n = len(factors)
-    letters_of = [f.letters for f, _, _ in factors]
-
-    # the final factor must cancel against the prefix enough to land on the
-    # target t-count; that pins its t-count to prefix_tc +- 1 relative to the
-    # target and (for nonempty prefixes) forces a matching first letter
-    buckets: dict[tuple[Letter, int, int], list[int]] = {}
-    for i, fl in enumerate(letters_of):
-        if fl:  # only a trivial relator has an empty conjugate
-            buckets.setdefault((fl[0], tc_of[i], ex_of[i]), []).append(i)
-
-    def last_factor(prefix, prefix_ex, trail):
-        rev_inv = tuple((s, -e) for s, e in reversed(prefix))
-        m = len(rev_inv)
-        prefix_tc = sum(1 for s, _ in prefix if s == STABLE)
-        last_inv = inv_index.get(letters_of[trail[-1]]) if trail else None
-        need_ex = target_ex - prefix_ex
-        if prefix_tc == 0:
-            candidates = [
-                i
-                for i in range(n)
-                if tc_of[i] == target_tc and ex_of[i] == need_ex
-            ]
-        else:
-            candidates = []
-            if m:
-                lo = abs(prefix_tc - target_tc)
-                for tcc in range(lo, prefix_tc + target_tc + 1, 2):
-                    candidates += buckets.get((rev_inv[0], tcc, need_ex), [])
-        for i in candidates:
-            if i == last_inv:
-                continue
-            fl = letters_of[i]
-            k = 0
-            lim = min(m, len(fl))
-            while k < lim and rev_inv[k] == fl[k]:
-                k += 1
-            if prefix_tc + tc_of[i] - 2 * pref_tc[i][k] != target_tc:
-                continue
-            combined = prefix[: m - k] + fl[k:]
-            if t_shape(Word(combined)) == target_shape:
-                chosen = tuple(
-                    (factors[j][1], factors[j][2]) for j in trail + (i,)
-                )
-                return SearchHit(element=Word(combined), factors=chosen)
-        return None
-
-    def rec(prefix: tuple[Letter, ...], prefix_ex: int, trail: tuple[int, ...]):
-        remaining = depth - len(trail)
+    def rec(prefix, ptc, pex, skip, remaining):
+        """(factor indices, letters) of the first hit below this prefix."""
         if remaining == 1:
-            return last_factor(prefix, prefix_ex, trail)
-        last_inv = inv_index.get(letters_of[trail[-1]]) if trail else None
+            back = (prefix[-1][0], -prefix[-1][1]) if prefix else None
+            chosen: list[int] = []
+            for tcc in range(abs(ptc - target_tc), ptc + target_tc + 1, 2):
+                first = None if tcc == target_tc - ptc else back
+                chosen += buckets.get((first, tcc, target_ex - pex), ())
+            for i in sorted(chosen):
+                k = cancelled(prefix, i)
+                if i != skip and ptc + tcs[i][-1] - 2 * tcs[i][k] == target_tc:
+                    elem = prefix[: len(prefix) - k] + letters_of[i][k:]
+                    if t_shape(Word(elem)) == target_shape:
+                        return (i,), elem
+            return None
+        slack = (remaining - 1) * abs(ex_w)
         for i in range(n):
-            new_ex = prefix_ex + ex_of[i]
-            if abs(target_ex - new_ex) > (remaining - 1) * abs(ex_w):
+            if i == skip or abs(target_ex - pex - ex_of[i]) > slack:
                 continue
-            if i == last_inv:
-                continue
-            combined = _reduce(prefix + letters_of[i])
-            hit = rec(combined, new_ex, trail + (i,))
-            if hit is not None:
-                return hit
+            k = cancelled(prefix, i)
+            found = rec(
+                prefix[: len(prefix) - k] + letters_of[i][k:],
+                ptc + tcs[i][-1] - 2 * tcs[i][k],
+                pex + ex_of[i],
+                inv_of[i],
+                remaining - 1,
+            )
+            if found is not None:
+                return (i,) + found[0], found[1]
         return None
 
-    return rec((), 0, ())
+    for depth in range(1, product_bound + 1):
+        found = rec((), 0, 0, None, depth)
+        if found is not None:
+            trail, elem = found
+            return SearchHit(Word(elem), tuple(factors[i] for i in trail))
+    return None
 
 
 # -- finite permutation quotients -------------------------------------------
@@ -404,15 +380,16 @@ def _t_solver(relators: Sequence[Word]) -> Optional[tuple[Word, int]]:
 
 
 def _quotients(pres: Presentation, max_degree: int):
-    """Permutation quotients of degree 1 to ``max_degree`` (at most 8), in
-    deterministic order.
+    """Permutation quotients of degree 1 to ``max_degree``, in deterministic
+    order; a ``max_degree`` outside 1..8 raises ``ValueError`` at the call.
 
     Yields ``(degree, images)`` for every generator-image assignment that
     sends each relator to the identity.  The first base generator ranges
     over conjugacy-class representatives only: conjugating all images at
     once preserves both the relator check and the membership witness.  The
     other base generators range over all of ``S_n`` in ``product`` order,
-    with t innermost.
+    with t innermost.  Without base generators each degree has one base
+    assignment, the empty one.
 
     When some relator ``A t^epsilon B`` has exactly one t, t's image is
     solved rather than enumerated: the first such relator forces t^epsilon
@@ -421,31 +398,33 @@ def _quotients(pres: Presentation, max_degree: int):
     p(n) * (n!)^(rank-1) base assignments, p(n) the number of partitions of
     n; without such a relator every one of them tries all n! images of t.
     """
-    if max_degree > 8:
-        raise ValueError("max_degree is capped at 8")
+    if not 1 <= max_degree <= 8:
+        raise ValueError(f"max_degree must be from 1 to 8, got {max_degree}")
     gens = list(pres.generators)
-    rest = gens[1:] if gens else []
     solver = _t_solver(pres.relators)
-    for degree in range(1, max_degree + 1):
-        identity = tuple(range(degree))
-        all_perms = sorted(permutations(range(degree)))
-        for first in _class_representatives(degree):
-            for tail in product(all_perms, repeat=len(rest)):
-                base = {gens[0]: first} if gens else {}
-                base.update(zip(rest, tail))
-                if solver is None:
-                    t_candidates = all_perms
-                else:
-                    ba, eps = solver
-                    forced = _word_image(ba, base, degree)
-                    t_candidates = (_inverse_perm(forced) if eps > 0 else forced,)
-                for t_image in t_candidates:
-                    images = {**base, STABLE: t_image}
-                    if all(
-                        _word_image(r, images, degree) == identity
-                        for r in pres.relators
-                    ):
-                        yield degree, images
+
+    def quotients():
+        for degree in range(1, max_degree + 1):
+            identity = tuple(range(degree))
+            all_perms = sorted(permutations(range(degree)))
+            for first in _class_representatives(degree) if gens else [None]:
+                for tail in product(all_perms, repeat=len(gens[1:])):
+                    base = dict(zip(gens, (first, *tail)))
+                    if solver is None:
+                        t_candidates = all_perms
+                    else:
+                        ba, eps = solver
+                        forced = _word_image(ba, base, degree)
+                        t_candidates = (_inverse_perm(forced) if eps > 0 else forced,)
+                    for t_image in t_candidates:
+                        images = {**base, STABLE: t_image}
+                        if all(
+                            _word_image(r, images, degree) == identity
+                            for r in pres.relators
+                        ):
+                            yield degree, images
+
+    return quotients()
 
 
 def quotient_certificate(
@@ -455,11 +434,19 @@ def quotient_certificate(
 
     Such a quotient certifies non-surjectivity independently of the theorem;
     absence of a certificate is not a refutation.  The quotients come from
-    ``_quotients`` in its order, so t is solved when a relator has one t,
-    and each is tested by a membership walk that stops once it reaches t's
-    image: only the certificate itself costs a whole subgroup.
+    ``_quotients`` in its order, and each is tested by a membership walk
+    that stops once it reaches t's image: only the certificate itself costs
+    a whole subgroup.
+
+    A relator ``A t^epsilon B`` with exactly one t gives t^epsilon =
+    (B*A)^-1, the Tietze move that eliminates t, so t lies in G's image in
+    the extension and in every quotient of it.  No certificate exists at any
+    degree then, and None is returned without a search.
     """
-    for n, images in _quotients(pres, max_degree):
+    quotients = _quotients(pres, max_degree)  # refuses degrees outside 1..8
+    if _t_solver(pres.relators) is not None:
+        return None
+    for n, images in quotients:
         if not _in_subgroup(images[STABLE], [images[g] for g in pres.generators]):
             return QuotientCertificate(
                 degree=n,

@@ -110,10 +110,6 @@ class Word:
             out = out * base
         return out
 
-    def conjugated_by(self, u: "Word") -> "Word":
-        """u^-1 * self * u."""
-        return u.inverse() * self * u
-
     # -- predicates --------------------------------------------------------
 
     def is_identity(self) -> bool:

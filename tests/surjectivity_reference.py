@@ -1,25 +1,79 @@
-"""The permutation-quotient search as it stood before t's image was solved.
+"""Brute-force references for the searches in ``onerelator.surjectivity``.
 
-Kept verbatim as the reference that tests compare
-``onerelator.surjectivity._quotients`` and ``quotient_certificate`` against:
-every assignment of permutations to the base generators and to t, in the
-``product(...)`` order with t innermost, and a full subgroup closure for
-every quotient it yields.
+``normal_closure_search`` multiplies out every product of conjugates in the
+order the library's docstring promises and returns the first one with the
+target t-shape.
+
+``_quotients`` and ``quotient_certificate`` are the permutation-quotient
+search as it stood before t's image was solved: every assignment of
+permutations to the base generators and to t, in the ``product(...)`` order
+with t innermost, and a full subgroup closure for every quotient it yields.
 """
 from __future__ import annotations
 
-from itertools import permutations, product
-from typing import Optional, Sequence
+from itertools import chain, groupby, pairwise, permutations, product
+from typing import Iterable, Optional, Sequence
 
 from onerelator.surjectivity import (
     Perm,
     Presentation,
     QuotientCertificate,
+    SearchHit,
     _class_representatives,
     _compose,
     _word_image,
 )
-from onerelator.words import STABLE
+from onerelator.words import STABLE, Word, _reduce, free_reduce, word_key
+
+
+def normal_closure_search(
+    w: Word,
+    target_shape: tuple[int, ...],
+    conj_len_bound: int,
+    product_bound: int,
+    alphabet: Optional[Iterable[str]] = None,
+) -> Optional[SearchHit]:
+    """First product of conjugates of w with the target t-shape, by brute force.
+
+    Conjugators are the reduced words of length <= conj_len_bound, sorted by
+    length, then ``word_key``; each gives u w u^-1, then u w^-1 u^-1, and an
+    element equal to an earlier factor is dropped.  Every depth from 1 to
+    product_bound multiplies out all factor-index tuples in lexicographic
+    order, except those with a factor directly followed by its inverse.
+    """
+    if alphabet is None:
+        alphabet = {sym for sym, _ in w.letters if sym != STABLE}
+    letters = [(s, e) for s in [*alphabet, STABLE] for e in (1, -1)]
+    conjugators = sorted(
+        (
+            combo
+            for n in range(conj_len_bound + 1)
+            for combo in product(letters, repeat=n)
+            if len(free_reduce(combo)) == n
+        ),
+        key=lambda u: (len(u), word_key(u)),
+    )
+    factors: list[tuple[Word, Word, int]] = []  # (element, conjugator, sign)
+    for letters_u in conjugators:
+        u = Word(letters_u)
+        for sign in (1, -1):
+            elem = u * (w if sign > 0 else w.inverse()) * u.inverse()
+            if all(elem != f for f, _, _ in factors):
+                factors.append((elem, u, sign))
+    elements = [f.letters for f, _, _ in factors]
+    inverse = [elements.index(f.inverse().letters) for f, _, _ in factors]
+    target_shape = tuple(target_shape)
+    for depth in range(1, product_bound + 1):
+        for trail in product(range(len(factors)), repeat=depth):
+            if any(inverse[i] == j for i, j in pairwise(trail)):
+                continue
+            elem = _reduce(chain.from_iterable(elements[i] for i in trail))
+            # the t-shape: exponent sums of the maximal runs of t letters
+            runs = groupby(elem, key=lambda letter: letter[0] == STABLE)
+            shape = tuple(sum(e for _, e in run) for is_t, run in runs if is_t)
+            if shape == target_shape:
+                return SearchHit(Word(elem), tuple(factors[i][1:] for i in trail))
+    return None
 
 
 def _subgroup_closure(gens: Sequence[Perm], degree: int) -> set[Perm]:

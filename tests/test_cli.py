@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from onerelator import free_alphabet, parse_word
 from onerelator.cli import main
+import surjectivity_reference as reference
 
 GOLDEN = "tests/data/random_seed0_size3.json"
 
@@ -160,6 +162,23 @@ def test_search_kernel_miss(capsys):
     assert out["report"]["found"] is None
 
 
+@pytest.mark.parametrize(
+    "word,shape,products,element",
+    [("ATA", "2", "2", "aattaa"), ("AT", "1,-1,1", "3", "AtaTat")],
+)
+def test_search_kernel_finds_hits_past_a_cancelling_letter(
+    capsys, word, shape, products, element
+):
+    """Last factors that cancel no t are tried, whatever letter they start with."""
+    code, out, _ = run_cli(
+        capsys,
+        "search-kernel", "--word", word, "--rank", "1", "--target-shape", shape,
+        "--conj-len", "1", "--products", products,
+    )
+    assert code == 0
+    assert out["report"]["found"]["element"] == element
+
+
 def test_search_kernel_negative_shape_forms_agree(capsys):
     """A shape starting with a minus sign may follow its flag as its own argument."""
     common = ("search-kernel", "--word", "bTat", "--conj-len", "2", "--products", "2")
@@ -218,6 +237,19 @@ def test_reports_byte_identical():
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout == (GOLDEN_REPORTS / f"{name}.out").read_bytes(), name
     assert sorted(p.stem for p in GOLDEN_REPORTS.glob("*.out")) == sorted(GOLDEN_CASES)
+
+
+def test_golden_kernel_hit_is_the_reference_first_hit():
+    """The recorded two-factor hit is the brute force's first one."""
+    report = json.loads((GOLDEN_REPORTS / "search_kernel_hit_two.out").read_text())
+    found = report["report"]["found"]
+    at = parse_word("at", free_alphabet(1))
+    hit = reference.normal_closure_search(at, (1, 1), 1, 2)
+    assert found == {
+        "element": str(hit.element),
+        "factors": [[str(u), sign] for u, sign in hit.factors],
+    }
+    assert found == {"element": "atat", "factors": [["", 1], ["", 1]]}
 
 
 def test_certificate_recheck_survives_optimize():

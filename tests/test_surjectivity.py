@@ -29,7 +29,6 @@ from onerelator import surjectivity
 from onerelator.surjectivity import (
     _perm_order,
     _quotients,
-    _reduced_words,
     _t_solver,
     _word_image,
 )
@@ -174,29 +173,6 @@ def test_search_bound_validation():
         normal_closure_search(wab("at"), (1,), 2, 0)
 
 
-def naive_search_exists(base, target, conj_len, products):
-    """Existence oracle: plain depth-first product enumeration."""
-    symbols = sorted({s for s, _ in base.letters if s != STABLE}) + [STABLE]
-    factors = []
-    seen = set()
-    for u in _reduced_words(symbols, conj_len):
-        for sign in (1, -1):
-            elem = u * (base if sign > 0 else base.inverse()) * u.inverse()
-            if elem.letters not in seen:
-                seen.add(elem.letters)
-                factors.append(elem)
-    target = tuple(target)
-
-    def rec(cur, depth):
-        if t_shape(cur) == target and depth > 0:
-            return True
-        if depth == products:
-            return False
-        return any(rec(cur * f, depth + 1) for f in factors)
-
-    return rec(Word(), 0)
-
-
 @pytest.mark.parametrize(
     "text,target",
     [
@@ -208,16 +184,56 @@ def naive_search_exists(base, target, conj_len, products):
         ("tBB", (2,)),
         ("bAAT", (2,)),
         ("abtAB", (1, -1, 1)),
+        ("t", (2,)),
+        ("T", (2,)),
     ],
 )
 def test_search_matches_naive_oracle(text, target):
     base = wab(text)
     got = normal_closure_search(base, target, 2, 2)
-    expect = naive_search_exists(base, target, 2, 2)
-    assert (got is not None) == expect
+    assert got == reference.normal_closure_search(base, target, 2, 2)
     if got is not None:
         assert t_shape(got.element) == tuple(target)
         assert product_of(got, base) == got.element
+
+
+def all_cyclically_reduced_with_t(max_len):
+    """Every cyclically reduced word over a, b, t of length <= max_len with a t."""
+    pool = [(s, e) for s in ("a", "b", STABLE) for e in (1, -1)]
+    out = []
+    for n in range(1, max_len + 1):
+        for combo in itertools.product(pool, repeat=n):
+            reduced = len(free_reduce(combo)) == n
+            cyclic = n == 1 or combo[0] != (combo[-1][0], -combo[-1][1])
+            if reduced and cyclic and any(sym == STABLE for sym, _ in combo):
+                out.append(Word(combo))
+    return out
+
+
+def test_search_matches_reference_exhaustive():
+    """Hits are the brute force's first hit, element and factors, or both None."""
+    words = all_cyclically_reduced_with_t(4)
+    assert len(words) == 664
+    hits = 0
+    for word in words:
+        for target in ((1,), (-1,), (1, 1), (2,), (1, -1, 1)):
+            got = normal_closure_search(word, target, 1, 2)
+            expect = reference.normal_closure_search(word, target, 1, 2)
+            assert got == expect, (word, target)
+            hits += got is not None
+    assert hits == 1680
+
+
+def test_search_matches_reference_sampled():
+    rng = random.Random(6)
+    words = all_cyclically_reduced_with_t(4)
+    targets = ((1,), (-1,), (1, 1), (2,), (1, -1, 1), (-1, 1, 1))
+    for conj_len, products, count in ((2, 2, 8), (1, 3, 12)):
+        for word in rng.sample(words, count):
+            for target in targets:
+                case = (word, target, conj_len, products)
+                got = normal_closure_search(*case)
+                assert got == reference.normal_closure_search(*case), case
 
 
 # -- finite permutation quotients --------------------------------------------
@@ -269,6 +285,30 @@ def test_degree_cap():
         order_evidence(wab("t"), pres, 9)
 
 
+def test_degree_floor():
+    pres = one_relator_presentation(parse_word("aTatt", free_alphabet(1)), 1)
+    assert quotient_certificate(pres, 3) is not None
+    for degree in (0, -2):
+        with pytest.raises(ValueError):
+            quotient_certificate(pres, degree)
+        with pytest.raises(ValueError):
+            order_evidence(wab("t"), pres, degree)
+        with pytest.raises(ValueError):
+            _quotients(pres, degree)
+
+
+def test_single_t_relator_has_no_certificate_without_a_search(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a presentation with a single-t relator was searched")
+
+    monkeypatch.setattr(surjectivity, "_in_subgroup", refuse)
+    for text in ("abAt", "aTbAB", "at"):
+        pres = one_relator_presentation(wab(text), 2)
+        assert quotient_certificate(pres, 5) is None
+    with pytest.raises(ValueError):
+        quotient_certificate(one_relator_presentation(wab("abAt"), 2), 9)
+
+
 def test_order_evidence():
     a1 = free_alphabet(1)
     gt = one_relator_presentation(parse_word("at", a1), 1)
@@ -295,10 +335,15 @@ def cyclically_reduced_words(symbols, max_len):
 
 
 def assert_quotients_match_reference(pres, degree):
-    assert list(_quotients(pres, degree)) == list(reference._quotients(pres, degree))
-    assert quotient_certificate(pres, degree) == reference.quotient_certificate(
-        pres, degree
-    )
+    """Same quotients, each once, and the same certificate; none with one t."""
+    distinct = {}
+    for n, images in reference._quotients(pres, degree):
+        distinct.setdefault((n, tuple(sorted(images.items()))), (n, images))
+    assert list(_quotients(pres, degree)) == list(distinct.values())
+    cert = quotient_certificate(pres, degree)
+    assert cert == reference.quotient_certificate(pres, degree)
+    if _t_solver(pres.relators) is not None:
+        assert cert is None
 
 
 def test_quotients_match_reference_exhaustive():
@@ -352,6 +397,8 @@ def test_t_solved_from_t_inverse_and_bare_t():
     assert all(images[STABLE] == tuple(range(n)) for n, images in _quotients(bare, 4))
     no_generators = Presentation(generators=(), relators=(wab("t"),))
     assert_quotients_match_reference(no_generators, 3)
+    # without base generators each degree has the one quotient t -> identity
+    assert [n for n, _ in _quotients(no_generators, 4)] == [1, 2, 3, 4]
 
 
 def test_t_enumerated_without_a_relator_with_one_t():
