@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -437,3 +439,54 @@ def test_uphill_guards():
     )
     with pytest.raises(ScheduleError):
         uphill_schedule(flat, Q(1, 2), Q(10))
+
+
+# -- golden plans -------------------------------------------------------------
+
+
+GOLDEN_PLANS = Path(__file__).parent / "data" / "golden" / "plans.json"
+
+
+def _planned(plan) -> dict:
+    """Breakpoints per face of a plan, or the planner's ScheduleError message."""
+    try:
+        schedules = plan()
+    except ScheduleError as exc:
+        return {"error": str(exc)}
+    return {
+        fid: " ".join(f"{t},{p}" for t, p in s.breakpoints)
+        for fid, s in schedules.items()
+    }
+
+
+def plan_table() -> dict:
+    """Both planners on ``generate_random(seed, 1..8)`` for seeds 0-19, three
+    omegas each, and on ``uphill_two_edge``; ``plans.json`` holds this table
+    as the planners wrote it when the file was added."""
+    horizon = Q(12)
+    cases = [
+        (f"{seed} {size}", generate_random(seed, size), (Q(1, 3), Q(1, 2), Q(5, 7)))
+        for seed in range(20)
+        for size in range(1, 9)
+    ]
+    cases.append(("uphill_two_edge", uphill_two_edge(), (Q(1, 2), Q(4, 3), Q(7, 4))))
+    table = {}
+    for name, k, omegas in cases:
+        rng = random.Random(name)
+        eid = k.face_map[k.e_infinity].boundary[0][0]
+        opp = next(f for f, _ in k.edge_incidences(eid) if f != k.e_infinity)
+        face = k.face_map[opp]
+        for omega in omegas:
+            b = uniform_schedule(face, Q(rng.randrange(4 * len(face.boundary)), 4))
+            table[f"{name} {omega}"] = {
+                "adversarial": _planned(
+                    lambda: {k.e_infinity: adversarial_schedule(k, b, omega, horizon)}
+                ),
+                "uphill": _planned(lambda: uphill_schedule(k, omega, horizon)),
+            }
+    return table
+
+
+def test_plans_match_golden():
+    """Both planners reproduce the committed plans byte for byte."""
+    assert plan_table() == json.loads(GOLDEN_PLANS.read_text())
