@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .words import (
     RESERVED,
@@ -44,6 +44,17 @@ class Face:
     type: Optional[str] = None
 
 
+class Incidences(NamedTuple):
+    """Which cars share an edge or a vertex.
+
+    ``sides[e]`` lists the (face id, boundary index) steps along edge e and
+    ``slots[v]`` the (face id, corner index) corners at vertex v.
+    """
+
+    sides: dict[str, tuple[tuple[str, int], ...]]
+    slots: dict[str, tuple[tuple[str, int], ...]]
+
+
 @dataclass(frozen=True)
 class SphereComplex:
     vertices: tuple[str, ...]
@@ -68,14 +79,26 @@ class SphereComplex:
         tail, head = self.edge_map[step[0]]
         return head if step[1] > 0 else tail
 
+    @cached_property
+    def incidences(self) -> Incidences:
+        """Sides per edge and slots per vertex, each in face order."""
+        sides: dict[str, list[tuple[str, int]]] = {e: [] for e, _, _ in self.edges}
+        slots: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for f in self.faces:
+            # side i and slot i of a face share one (face id, i) tuple
+            keys = [(f.id, i) for i in range(max(len(f.boundary), len(f.corners)))]
+            for key, (e, _) in zip(keys, f.boundary):
+                sides.setdefault(e, []).append(key)
+            for key, (v, _) in zip(keys, f.corners):
+                slots.setdefault(v, []).append(key)
+        return Incidences(
+            {e: tuple(s) for e, s in sides.items()},
+            {v: tuple(s) for v, s in slots.items()},
+        )
+
     def edge_incidences(self, edge_id: str) -> list[tuple[str, int]]:
         """(face id, boundary index) pairs using the edge, in either direction."""
-        out = []
-        for f in self.faces:
-            for i, (e, _) in enumerate(f.boundary):
-                if e == edge_id:
-                    out.append((f.id, i))
-        return out
+        return list(self.incidences.sides.get(edge_id, ()))
 
 
 @dataclass(frozen=True)
@@ -84,7 +107,6 @@ class RelatorSet:
 
     w0: Word
     h_pairs: tuple[tuple[Word, Word], ...] = ()  # (h, image of h under phi)
-    m: int = 1
 
     def words(self) -> tuple[Word, ...]:
         out = [self.w0]
@@ -181,10 +203,10 @@ def validate_sphere(k: SphereComplex) -> ValidationReport:
     if not connected:
         problems.append("1-skeleton is not connected")
 
-    usage: dict[str, list[int]] = {eid: [] for eid, _, _ in k.edges}
-    for face in k.faces:
-        for eid, d in face.boundary:
-            usage[eid].append(d)
+    usage = {
+        eid: [k.face_map[fid].boundary[i][1] for fid, i in sides]
+        for eid, sides in k.incidences.sides.items()
+    }
     edge_pairing = all(sorted(ds) == [-1, 1] for ds in usage.values())
     if not edge_pairing:
         bad = [eid for eid, ds in usage.items() if sorted(ds) != [-1, 1]]
@@ -253,13 +275,11 @@ def _vertex_cycle(k: SphereComplex, vertex_id: str) -> list[tuple[str, int]]:
     slots: dict[tuple[str, int], tuple[str, int]] = {}
     corners: dict[tuple[str, int], tuple[str, int]] = {}
     ins = []
-    for face in k.faces:
-        for i, (cv, _) in enumerate(face.corners):
-            if cv == vertex_id:
-                in_end, out_end = _corner_ends(k, face, i)
-                ins.append(in_end)
-                slots[out_end] = in_end  # traverse against the face orientation
-                corners[out_end] = (face.id, i)
+    for fid, i in k.incidences.slots.get(vertex_id, ()):
+        in_end, out_end = _corner_ends(k, k.face_map[fid], i)
+        ins.append(in_end)
+        slots[out_end] = in_end  # traverse against the face orientation
+        corners[out_end] = (fid, i)
     if not ins:
         raise ValueError(f"vertex {vertex_id}: no incident corners")
     if len(slots) != len(ins) or sorted(ins) != sorted(slots):
@@ -307,7 +327,7 @@ def detect_type1(k: SphereComplex) -> Optional[tuple[str, str, str]]:
     """
     skip = {k.e_infinity} if k.e_infinity is not None else set()
     for eid, _, _ in k.edges:
-        inc = k.edge_incidences(eid)
+        inc = k.incidences.sides[eid]
         if len(inc) != 2:
             continue
         (f1, i1), (f2, i2) = inc
@@ -354,7 +374,7 @@ def detect_type2(k: SphereComplex) -> Optional[tuple[tuple[str, ...], str, str]]
         ids = {f.id for f in group}
         for f in group:
             for eid, _ in f.boundary:
-                for other, _ in k.edge_incidences(eid):
+                for other, _ in k.incidences.sides[eid]:
                     if other != f.id and other in ids:
                         adjacency[f.id].add(other)
 

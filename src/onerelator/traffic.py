@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, gcd, lcm
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .spheres import Face, SphereComplex, _vertex_labels
 from .words import Word, free_reduce
@@ -152,17 +153,20 @@ def uniform_schedule(face: Face, start: Q = Q(0)) -> FlowSchedule:
 # -- piecewise-linear plumbing ----------------------------------------------
 
 
-def _segments(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
-    """Linear (t0, t1, p0, p1) segments covering [0, t_end], clipped."""
-    if t_end <= 0:
-        return []
-    raw: list[tuple[Q, Q, Q, Q]] = []
+def _pieces(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
+    """Linear (t0, t1, p0, p1) pieces covering [0, t_end], clipped, with
+    each moving piece within one unit span.
+
+    A moving segment is cut where it crosses an integer n, so the position
+    at each interior cut is exactly n; only the cut times are computed.
+    """
     if s.period is None:
         if s.breakpoints[-1][0] < t_end:
             raise ScheduleError("finite schedule does not cover the horizon")
         shifts = [0]
     else:
         shifts = range(_floor(t_end / s.period) + 1)
+    out: list[tuple[Q, Q, Q, Q]] = []
     for k in shifts:
         dt = k * (s.period or 0)
         dp = k * s.circuit
@@ -174,32 +178,18 @@ def _segments(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
             if b > t_end:
                 pb = pa + (pb - pa) * (t_end - a) / (b - a)
                 b = t_end
-            raw.append((a, b, pa, pb))
-    return raw
-
-
-def _pieces(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
-    """Segments refined so each moving piece stays within one unit span.
-
-    A moving segment is cut where it crosses an integer n, so the position
-    at each interior cut is exactly n; only the cut times are computed.
-    """
-    out: list[tuple[Q, Q, Q, Q]] = []
-    for t0, t1, p0, p1 in _segments(s, t_end):
-        if p0 == p1:
-            out.append((t0, t1, p0, p1))
-            continue
-        slope = (t1 - t0) / (p1 - p0)
-        marks = [p0] + [Q(n) for n in range(_floor(p0) + 1, ceil(p1))] + [p1]
-        cuts = [t0] + [t0 + (n - p0) * slope for n in marks[1:-1]] + [t1]
-        out.extend(zip(cuts, cuts[1:], marks, marks[1:]))
+            if pa == pb:
+                out.append((a, b, pa, pb))
+                continue
+            slope = (b - a) / (pb - pa)
+            marks = [pa] + [Q(n) for n in range(_floor(pa) + 1, ceil(pb))] + [pb]
+            cuts = [a] + [a + (n - pa) * slope for n in marks[1:-1]] + [b]
+            out.extend(zip(cuts, cuts[1:], marks, marks[1:]))
     return out
 
 
 @dataclass(frozen=True)
 class _EdgeStay:
-    face: str
-    step: int
     t0: Q
     t1: Q
     c0: Q  # tail-based edge coordinate at t0
@@ -221,51 +211,51 @@ def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
     return out
 
 
-_EdgeMap = dict[str, list[_EdgeStay]]
-_CornerMap = dict[tuple[str, int], list[tuple[Q, Q]]]
+_Slot = tuple[str, int]  # (face id, boundary step or corner index)
+_EdgeMap = dict[_Slot, list[_EdgeStay]]
+_CornerMap = dict[_Slot, list[tuple[Q, Q]]]
 
 
-def _occupancy(face: Face, s: FlowSchedule, t_end: Q) -> tuple[_EdgeMap, _CornerMap]:
-    """Edge stays per edge id, and merged occupancy intervals (possibly
-    instants) per (face, corner index)."""
-    n = s.circuit
+def _occupancy(
+    k: SphereComplex, schedules: Mapping[str, FlowSchedule], t_end: Q
+) -> tuple[_EdgeMap, _CornerMap]:
+    """Where the cars of ``schedules`` are over [0, t_end]: edge stays per
+    side (face, boundary step), in time order, and merged occupancy
+    intervals (possibly instants) per slot (face, corner index)."""
     edges: _EdgeMap = {}
     corners: _CornerMap = {}
-
-    def at_corner(pos: Q, a: Q, b: Q) -> None:
-        corners.setdefault((face.id, _floor(pos) % n), []).append((a, b))
-
-    for t0, t1, p0, p1 in _pieces(s, t_end):
-        if p0 == p1 and p0 == _floor(p0):
-            at_corner(p0, t0, t1)  # parked at a corner: vertex business
-            continue
-        # a piece parked inside an edge has no integer end
-        if p0 == _floor(p0):
-            at_corner(p0, t0, t0)
-        if p1 == _floor(p1):
-            at_corner(p1, t1, t1)
-        j = _floor(p0)
-        step = j % n
-        eid, d = face.boundary[step]
-        f0, f1 = p0 - j, p1 - j
-        c0, c1 = (f0, f1) if d > 0 else (1 - f0, 1 - f1)
-        stay = _EdgeStay(face.id, step, t0, t1, c0, c1, (c1 - c0) / (t1 - t0))
-        edges.setdefault(eid, []).append(stay)
+    for fid, s in schedules.items():
+        face, n = k.face_map[fid], s.circuit
+        for t0, t1, p0, p1 in _pieces(s, t_end):
+            j = _floor(p0)
+            if p0 == p1 == j:
+                # parked at a corner: vertex business
+                corners.setdefault((fid, j % n), []).append((t0, t1))
+                continue
+            # a piece parked inside an edge has no integer end
+            for p, t in ((p0, t0), (p1, t1)):
+                if p == _floor(p):
+                    corners.setdefault((fid, _floor(p) % n), []).append((t, t))
+            step = j % n
+            f0, f1 = p0 - j, p1 - j
+            c0, c1 = (f0, f1) if face.boundary[step][1] > 0 else (1 - f0, 1 - f1)
+            stay = _EdgeStay(t0, t1, c0, c1, (c1 - c0) / (t1 - t0))
+            edges.setdefault((fid, step), []).append(stay)
     for key, spans in corners.items():
         corners[key] = _merge_intervals(spans)
     return edges, corners
 
 
 def _edge_meetings(
-    eid: str, side1: list[_EdgeStay], side2: list[_EdgeStay]
-) -> set[tuple[Q, tuple, tuple[str, ...]]]:
-    """Meetings inside the edge between the stays of two incidences.
+    side1: list[_EdgeStay], side2: list[_EdgeStay]
+) -> Iterator[tuple[Q, Q]]:
+    """(time, tail-based coordinate) of each meeting inside an edge between
+    the stays of two of its sides.
 
-    Each side is one car's stays on one incidence: time-ordered, meeting
-    only at shared endpoints.  So the stays of ``side2`` that overlap or
-    touch a stay of ``side1`` form a run whose start only moves forward.
+    Each side's stays are time-ordered and meet only at shared endpoints.
+    So the stays of ``side2`` that overlap or touch a stay of ``side1``
+    form a run whose start only moves forward.
     """
-    hits: set[tuple[Q, tuple, tuple[str, ...]]] = set()
     start = 0
     for x in side1:
         while start < len(side2) and side2[start].t1 < x.t0:
@@ -287,9 +277,7 @@ def _edge_meetings(
                 continue
             c = x.coord(t_star)
             if 0 < c < 1:
-                participants = tuple(sorted({x.face, y.face}))
-                hits.add((t_star, ("edge", eid, c), participants))
-    return hits
+                yield t_star, c
 
 
 def simulate(
@@ -297,10 +285,13 @@ def simulate(
 ) -> tuple[CrashEvent, ...]:
     """All crash events in [0, horizon], time-ordered, in exact arithmetic.
 
-    Cost: each schedule is cut into pieces once; each edge merges the
-    time-ordered stays of its two sides, linear in stays plus overlapping
-    pairs; each vertex sorts its T span endpoints once and sweeps them, so
-    O(T log T) plus the slots of every event it emits.
+    Cost: each schedule is cut into pieces once, and each piece is filed
+    under its side or slot as it is cut, in time order.  The sides of each
+    edge and the slots of each vertex come from the complex's incidences.
+    Each pair of sides of an edge merges its two time-ordered stay lists,
+    linear in stays plus overlapping pairs; each vertex sorts its T span
+    endpoints once and sweeps them, so O(T log T) plus the slots of every
+    event it emits.
     """
     horizon = Q(horizon)
     if set(schedules) != set(k.face_map):
@@ -313,34 +304,15 @@ def simulate(
     if horizon <= 0:
         return ()
 
-    edge_occ: dict[str, list[list[_EdgeStay]]] = {e: [] for e, _, _ in k.edges}
-    corner_occ: _CornerMap = {}
-    for fid, s in schedules.items():
-        edges, corners = _occupancy(k.face_map[fid], s, horizon)
-        for eid, stays in edges.items():
-            edge_occ[eid].append(stays)
-        corner_occ.update(corners)
-
+    stays, corner_occ = _occupancy(k, schedules, horizon)
     events: list[CrashEvent] = []
-    for eid, sides in edge_occ.items():
-        flat = [stay for side in sides for stay in side]
-        # group by the two incidences (face, boundary index) of the edge
-        groups: dict[tuple[str, int], list[_EdgeStay]] = {}
-        for stay in flat:
-            groups.setdefault((stay.face, stay.step), []).append(stay)
-        keys = sorted(groups)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                for t, site, who in _edge_meetings(
-                    eid, groups[keys[a]], groups[keys[b]]
-                ):
-                    events.append(CrashEvent(t, site, who, complete=True))
+    for eid, sides in k.incidences.sides.items():
+        for a, b in combinations(sides, 2):
+            who = tuple(sorted({a[0], b[0]}))
+            for t, c in _edge_meetings(stays.get(a, []), stays.get(b, [])):
+                events.append(CrashEvent(t, ("edge", eid, c), who, complete=True))
 
-    incidences: dict[str, list[tuple[str, int]]] = {v: [] for v in k.vertices}
-    for f in k.faces:
-        for i, (v, _) in enumerate(f.corners):
-            incidences[v].append((f.id, i))
-    for vid, slots in incidences.items():
+    for vid, slots in k.incidences.slots.items():
         spans = {slot: corner_occ.get(slot, []) for slot in slots}
         times = sorted({t for sp in spans.values() for a, b in sp for t in (a, b)})
         # sample 2i is the instant times[i], sample 2i+1 the open gap after
@@ -465,13 +437,11 @@ class _Transit:
 
 
 def _outer_transits(
-    k: SphereComplex, step: int, opp: tuple[str, int], edges: _EdgeMap
+    k: SphereComplex, step: int, stays: list[_EdgeStay]
 ) -> list[_Transit]:
-    """Passes over outer step ``step`` by the car of ``opp``, from the edge
-    map of its face's occupancy."""
-    eid, d_inf = k.face_map[k.e_infinity].boundary[step]
-    stays = [st for st in edges.get(eid, []) if (st.face, st.step) == opp]
-    stays.sort(key=lambda st: st.t0)
+    """Passes over outer step ``step`` by the car whose time-ordered stays
+    on that edge are ``stays``."""
+    d_inf = k.face_map[k.e_infinity].boundary[step][1]
     transits: list[_Transit] = []
     cur: list[_EdgeStay] = []
     for st in stays:
@@ -582,22 +552,19 @@ def _plan_outer_car(
 
 
 def _outer_busy(
-    k: SphereComplex, occupancies: Mapping[str, tuple[_EdgeMap, _CornerMap]]
+    k: SphereComplex, occupancy: tuple[_EdgeMap, _CornerMap]
 ) -> list[tuple[Q, Q]]:
-    """Times when some car is on a closed outer-boundary edge or vertex,
-    from the occupancy of each face."""
+    """Times when some car of ``occupancy`` is on a closed outer-boundary
+    edge or vertex."""
+    edges, corners = occupancy
     inf_face = k.face_map[k.e_infinity]
-    inf_edges = {e for e, _ in inf_face.boundary}
-    inf_vertices = {k.step_start(step) for step in inf_face.boundary}
     busy: list[tuple[Q, Q]] = []
-    for fid, (edges, corners) in occupancies.items():
-        face = k.face_map[fid]
-        for eid, stays in edges.items():
-            if eid in inf_edges:
-                busy.extend((st.t0, st.t1) for st in stays)
-        for (_, idx), spans in corners.items():
-            if face.corners[idx][0] in inf_vertices:
-                busy.extend(spans)
+    for eid in dict.fromkeys(e for e, _ in inf_face.boundary):
+        for side in k.incidences.sides[eid]:
+            busy.extend((st.t0, st.t1) for st in edges.get(side, ()))
+    for vid in dict.fromkeys(map(k.step_start, inf_face.boundary)):
+        for slot in k.incidences.slots[vid]:
+            busy.extend(corners.get(slot, ()))
     return busy
 
 
@@ -618,21 +585,15 @@ def adversarial_schedule(
     if not 0 < omega < 1:
         raise ScheduleError("omega must lie in the open edge interior")
     eid = inf_face.boundary[0][0]
-    opp = [
-        (f, i)
-        for f, i in k.edge_incidences(eid)
-        if f != k.e_infinity
-    ]
+    opp = [side for side in k.incidences.sides[eid] if side[0] != k.e_infinity]
     if len(opp) != 1 or opp[0][0] != b.face:
         raise ScheduleError("the given schedule does not drive the opposing face")
     if len(k.face_map[b.face].boundary) <= 1:
         raise ScheduleError("opposing boundary must properly contain the outer edge")
 
-    t_end = horizon + (b.period or 0)
-    occupancies = {b.face: _occupancy(k.face_map[b.face], b, t_end)}
-    transits = _outer_transits(k, 0, opp[0], occupancies[b.face][0])
-    busy = _outer_busy(k, occupancies)
-    bps = _plan_outer_car(1, omega, transits, busy, horizon)
+    occupancy = _occupancy(k, {b.face: b}, horizon + (b.period or 0))
+    transits = _outer_transits(k, 0, occupancy[0].get(opp[0], []))
+    bps = _plan_outer_car(1, omega, transits, _outer_busy(k, occupancy), horizon)
     return FlowSchedule(
         face=k.e_infinity, circuit=1, breakpoints=tuple(bps), period=None
     )
@@ -680,17 +641,22 @@ def uphill_schedule(
 
     j0 = _floor(omega)
     eid, _ = inf_face.boundary[j0]
-    opp = [(f, i) for f, i in k.edge_incidences(eid) if f != k.e_infinity]
+    opp = [side for side in k.incidences.sides[eid] if side[0] != k.e_infinity]
     if len(opp) != 1:
         raise ScheduleError("outer edge must have exactly one opposing face")
-    opp_sched = schedules[opp[0][0]]
-    t_end = horizon + (opp_sched.period or 0)
-    occupancies = {
-        fid: _occupancy(k.face_map[fid], s, t_end) for fid, s in schedules.items()
+    # only cars with a corner on the outer boundary can touch it
+    touching = {
+        f
+        for vid in map(k.step_start, inf_face.boundary)
+        for f, _ in k.incidences.slots[vid]
     }
-    transits = _outer_transits(k, j0, opp[0], occupancies[opp[0][0]][0])
-    busy = _outer_busy(k, occupancies)
-    bps = _plan_outer_car(n, omega, transits, busy, horizon)
+    occupancy = _occupancy(
+        k,
+        {f: s for f, s in schedules.items() if f in touching},
+        horizon + (schedules[opp[0][0]].period or 0),
+    )
+    transits = _outer_transits(k, j0, occupancy[0].get(opp[0], []))
+    bps = _plan_outer_car(n, omega, transits, _outer_busy(k, occupancy), horizon)
     schedules[k.e_infinity] = FlowSchedule(
         face=k.e_infinity, circuit=n, breakpoints=tuple(bps), period=None
     )

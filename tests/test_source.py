@@ -1,10 +1,17 @@
-"""Source-level checks on the ``onerelator`` package."""
+"""Source-level checks on the ``onerelator`` package, its tests and demos."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import onerelator
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -22,6 +29,7 @@ def test_no_unused_imports():
     package = Path(onerelator.__file__).parent
     paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     paths += Path(__file__).parent.glob("*.py")
+    paths += DEMOS
     found = []
     for path in sorted(paths):
         tree = ast.parse(path.read_text(), str(path))
@@ -37,3 +45,13 @@ def test_no_unused_imports():
             if name not in used:
                 found.append(f"{path.name}:{line} {name}")
     assert found == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    """Each demo script runs to completion against the package under test."""
+    src = str(Path(onerelator.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()

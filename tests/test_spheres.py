@@ -30,9 +30,11 @@ from conftest import (
     ABC,
     IDENT,
     bigon_pencil,
+    bigon_sphere,
     mirrored_pair,
     tetrahedron,
     triangle_pair,
+    uphill_two_edge,
     w,
 )
 
@@ -142,6 +144,49 @@ def test_vertex_word_refuses_link_of_two_cycles():
     assert message in validate_sphere(k).problems
     with pytest.raises(ValueError, match=message):
         read_vertex_word(k, "v")
+
+
+def face_scan(k):
+    """Sides per edge and slots per vertex, by scanning every face for each."""
+
+    def scan(target, part):
+        return tuple(
+            (f.id, i)
+            for f in k.faces
+            for i, (x, _) in enumerate(getattr(f, part))
+            if x == target
+        )
+
+    return (
+        {e: scan(e, "boundary") for e, _, _ in k.edges},
+        {v: scan(v, "corners") for v in k.vertices},
+    )
+
+
+def test_incidences_match_face_scan():
+    hand_built = [
+        triangle_pair(),
+        mirrored_pair(),
+        tetrahedron(),
+        bigon_pencil(("a", "b", "")),
+        bigon_sphere(),
+        uphill_two_edge(),
+    ]
+    randoms = [generate_random(s, size) for s in range(20) for size in range(1, 9)]
+    for k in hand_built + randoms:
+        sides, slots = face_scan(k)
+        assert k.incidences == (sides, slots)
+        assert list(k.incidences.sides) == list(sides)
+        assert list(k.incidences.slots) == list(slots)
+        for e, _, _ in k.edges:
+            assert k.edge_incidences(e) == list(sides[e])
+    # a vertex without corners keeps an empty entry and fails its link
+    k = tetrahedron()
+    lonely = SphereComplex(k.vertices + ("5",), k.edges, k.faces)
+    assert lonely.incidences.slots["5"] == ()
+    assert "vertex 5: no incident corners" in validate_sphere(lonely).problems
+    with pytest.raises(ValueError, match="vertex 5: no incident corners"):
+        read_vertex_word(lonely, "5")
 
 
 def test_vertex_word_v0_undefined():

@@ -323,7 +323,14 @@ def test_order_evidence():
 
 
 def cyclically_reduced_words(symbols, max_len):
-    """Every cyclically reduced nonempty word of length <= max_len, sorted."""
+    """The nonempty words of length <= max_len that ``cyclic_reduce`` leaves
+    unchanged, sorted.
+
+    Each is cyclically reduced, but a word that mixes base and t-letters is
+    kept only in the one rotation ``cyclic_reduce`` picks, which starts with
+    a base letter and ends in a t-letter.  Over ``a, b, t`` up to length 5
+    that is 1,422 of the 3,918 cyclically reduced words.
+    """
     pool = [(s, e) for s in symbols for e in (1, -1)]
     found = set()
     for n in range(1, max_len + 1):
