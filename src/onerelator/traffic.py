@@ -44,6 +44,8 @@ class FlowSchedule:
 
     def __post_init__(self) -> None:
         bps = self.breakpoints
+        if self.circuit < 1:
+            raise ScheduleError("circuit must be positive")
         if len(bps) < 2:
             raise ScheduleError("need at least two breakpoints")
         if bps[0][0] != 0:
@@ -153,7 +155,10 @@ def uniform_schedule(face: Face, start: Q = Q(0)) -> FlowSchedule:
 # -- piecewise-linear plumbing ----------------------------------------------
 
 
-def _pieces(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
+_Piece = tuple[Q, Q, Q, Q]  # (t0, t1, p0, p1), or (t0, t1, a0, a1) on an outer edge
+
+
+def _pieces(s: FlowSchedule, t_end: Q) -> list[_Piece]:
     """Linear (t0, t1, p0, p1) pieces covering [0, t_end], clipped, with
     each moving piece within one unit span.
 
@@ -166,7 +171,7 @@ def _pieces(s: FlowSchedule, t_end: Q) -> list[tuple[Q, Q, Q, Q]]:
         shifts = [0]
     else:
         shifts = range(_floor(t_end / s.period) + 1)
-    out: list[tuple[Q, Q, Q, Q]] = []
+    out: list[_Piece] = []
     for k in shifts:
         dt = k * (s.period or 0)
         dp = k * s.circuit
@@ -280,6 +285,15 @@ def _edge_meetings(
                 yield t_star, c
 
 
+def _check_fit(k: SphereComplex, schedules: Mapping[str, FlowSchedule]) -> None:
+    """Each schedule is filed under its own face and has that face's circuit."""
+    for fid, s in schedules.items():
+        if s.face != fid:
+            raise ScheduleError(f"schedule for {s.face} filed under {fid}")
+        if s.circuit != len(k.face_map[fid].boundary):
+            raise ScheduleError(f"schedule circuit mismatch on face {fid}")
+
+
 def simulate(
     k: SphereComplex, schedules: Mapping[str, FlowSchedule], horizon: Q
 ) -> tuple[CrashEvent, ...]:
@@ -296,11 +310,7 @@ def simulate(
     horizon = Q(horizon)
     if set(schedules) != set(k.face_map):
         raise ScheduleError("schedules must cover exactly the faces of the complex")
-    for fid, s in schedules.items():
-        if s.face != fid:
-            raise ScheduleError(f"schedule for {s.face} filed under {fid}")
-        if s.circuit != len(k.face_map[fid].boundary):
-            raise ScheduleError(f"schedule circuit mismatch on face {fid}")
+    _check_fit(k, schedules)
     if horizon <= 0:
         return ()
 
@@ -419,56 +429,58 @@ def crash_vertex_reading(k: SphereComplex, event: CrashEvent) -> VertexReading:
 # -- the adversarial outer car ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Transit:
-    """One pass of an opposing car over an outer-boundary edge, in A-coordinates."""
-
-    enter: Q
-    exit: Q
-    path: tuple[tuple[Q, Q, Q, Q], ...]  # (t0, t1, a0, a1), a non-increasing
-
-    def crossing(self, target: Q) -> Optional[Q]:
-        for t0, t1, a0, a1 in self.path:
-            if a1 <= target <= a0:
-                if a0 == a1:
-                    return t0
-                return t0 + (t1 - t0) * (a0 - target) / (a0 - a1)
-        return None
+def _crossing(transit: list[_Piece], target: Q) -> Optional[Q]:
+    """When the transit first reaches outer coordinate ``target``."""
+    for t0, t1, a0, a1 in transit:
+        if a1 <= target <= a0:
+            if a0 == a1:
+                return t0
+            return t0 + (t1 - t0) * (a0 - target) / (a0 - a1)
+    return None
 
 
 def _outer_transits(
     k: SphereComplex, step: int, stays: list[_EdgeStay]
-) -> list[_Transit]:
+) -> list[list[_Piece]]:
     """Passes over outer step ``step`` by the car whose time-ordered stays
-    on that edge are ``stays``."""
+    on that edge are ``stays``: runs of touching stays, in outer
+    coordinates."""
     d_inf = k.face_map[k.e_infinity].boundary[step][1]
-    transits: list[_Transit] = []
-    cur: list[_EdgeStay] = []
+    transits: list[list[_Piece]] = []
     for st in stays:
-        if cur and st.t0 > cur[-1].t1:
-            transits.append(_build_transit(cur, step, d_inf))
-            cur = []
-        cur.append(st)
-    if cur:
-        transits.append(_build_transit(cur, step, d_inf))
+        c0, c1 = (st.c0, st.c1) if d_inf > 0 else (1 - st.c0, 1 - st.c1)
+        if c1 > c0:
+            raise ScheduleError("opposing car must descend in outer coordinates")
+        if not transits or st.t0 > transits[-1][-1][1]:
+            transits.append([])
+        transits[-1].append((st.t0, st.t1, step + c0, step + c1))
     return transits
 
 
-def _build_transit(stays: list[_EdgeStay], step: int, d_inf: int) -> _Transit:
-    def to_a(c: Q) -> Q:
-        return step + (c if d_inf > 0 else 1 - c)
-
-    path = tuple((st.t0, st.t1, to_a(st.c0), to_a(st.c1)) for st in stays)
-    for t0, t1, a0, a1 in path:
-        if a1 > a0:
-            raise ScheduleError("opposing car must descend in outer coordinates")
-    return _Transit(enter=stays[0].t0, exit=stays[-1].t1, path=path)
+def _free_window(busy: list[tuple[Q, Q]], a: Q, b: Q) -> tuple[Q, Q]:
+    """Largest open subinterval of (a, b) free of the merged, sorted spans
+    ``busy``, the earliest on a tie."""
+    best: Optional[tuple[Q, Q]] = None
+    lo = a
+    for x, y in busy:
+        if y <= a:
+            continue
+        if x >= b:
+            break
+        if x > lo and (best is None or x - lo > best[1] - best[0]):
+            best = (lo, x)
+        lo = y
+    if b > lo and (best is None or b - lo > best[1] - best[0]):
+        best = (lo, b)
+    if best is None:
+        raise ScheduleError(f"no free window inside ({a}, {b})")
+    return best
 
 
 def _plan_outer_car(
     circuit: int,
     omega: Q,
-    transits: list[_Transit],
+    transits: list[list[_Piece]],
     busy: list[tuple[Q, Q]],
     horizon: Q,
 ) -> list[tuple[Q, Q]]:
@@ -478,60 +490,34 @@ def _plan_outer_car(
     d_lo = (omega - j0) / 2
     busy = _merge_intervals(busy)
 
-    def free_window(a: Q, b: Q) -> tuple[Q, Q]:
-        """Largest open busy-free subinterval of (a, b)."""
-        marks = [a]
-        for x, y in busy:
-            if y <= a or x >= b:
-                continue
-            marks.extend([max(x, a), min(y, b)])
-        marks.append(b)
-        marks.sort()
-        best = None
-        for lo, hi in zip(marks, marks[1:]):
-            if any(x <= lo and hi <= y for x, y in busy):
-                continue
-            if best is None or hi - lo > best[1] - best[0]:
-                best = (lo, hi)
-        if best is None or best[1] <= best[0]:
-            raise ScheduleError(f"no free window inside ({a}, {b})")
-        return best
-
     bps: list[tuple[Q, Q]] = []
     lap = Q(0)
     pending = list(transits)
 
     # starting position: below omega, above any opposing car already past it
     start_pos = (Q(j0) + omega) / 2
-    if pending and pending[0].enter <= 0:
-        first = pending[0]
-        a_now = first.path[0][2]
+    if pending and pending[0][0][0] <= 0:
+        a_now = pending[0][0][2]
         if a_now <= omega:
             start_pos = (a_now + omega) / 2
             pending.pop(0)  # its omega-crossing already happened
     bps.append((Q(0), start_pos))
 
-    for idx, tr in enumerate(pending):
-        tau = tr.crossing(omega)
+    for tr, nxt in zip(pending, pending[1:] + [None]):
+        tau = _crossing(tr, omega)
         if tau is None:
             continue
         if bps[-1][0] >= tau:
             break
-        if tr.enter > bps[-1][0]:
-            bps.append((tr.enter, bps[-1][1]))  # wait just below omega
+        if tr[0][0] > bps[-1][0]:
+            bps.append((tr[0][0], bps[-1][1]))  # wait just below omega
         bps.append((tau, lap + omega))
-        exit_t = max(tr.exit, tau)
+        exit_t = max(tr[-1][1], tau)
         if exit_t > tau:
             bps.append((exit_t, lap + omega + d_hi))  # dawdle past omega
-        nxt = pending[idx + 1] if idx + 1 < len(pending) else None
-        gap_end = nxt.enter if nxt is not None else horizon
-        if bps[-1][0] >= horizon:
+        if nxt is None or bps[-1][0] >= horizon:
             break
-        if nxt is None:
-            if horizon > bps[-1][0]:
-                bps.append((horizon, bps[-1][1]))
-            break
-        g0, g1 = free_window(bps[-1][0], gap_end)
+        g0, g1 = _free_window(busy, bps[-1][0], nxt[0][0])
         if g0 > bps[-1][0]:
             bps.append((g0, bps[-1][1]))
         lap += circuit
@@ -551,21 +537,31 @@ def _plan_outer_car(
     return out
 
 
-def _outer_busy(
-    k: SphereComplex, occupancy: tuple[_EdgeMap, _CornerMap]
-) -> list[tuple[Q, Q]]:
-    """Times when some car of ``occupancy`` is on a closed outer-boundary
-    edge or vertex."""
-    edges, corners = occupancy
+def _outer_car(
+    k: SphereComplex, cars: Mapping[str, FlowSchedule], opp: _Slot, omega: Q, horizon: Q
+) -> FlowSchedule:
+    """Outer-car plan over [0, horizon]: cross the car on side ``opp`` at
+    omega, and go round when none of ``cars`` is on the outer boundary."""
     inf_face = k.face_map[k.e_infinity]
+    outer_vertices = dict.fromkeys(map(k.step_start, inf_face.boundary))
+    # only cars with a corner on the outer boundary can touch it
+    touching = {f for vid in outer_vertices for f, _ in k.incidences.slots[vid]}
+    edges, corners = _occupancy(
+        k,
+        {f: s for f, s in cars.items() if f in touching},
+        horizon + (cars[opp[0]].period or 0),
+    )
     busy: list[tuple[Q, Q]] = []
     for eid in dict.fromkeys(e for e, _ in inf_face.boundary):
         for side in k.incidences.sides[eid]:
             busy.extend((st.t0, st.t1) for st in edges.get(side, ()))
-    for vid in dict.fromkeys(map(k.step_start, inf_face.boundary)):
+    for vid in outer_vertices:
         for slot in k.incidences.slots[vid]:
             busy.extend(corners.get(slot, ()))
-    return busy
+    n = len(inf_face.boundary)
+    transits = _outer_transits(k, _floor(omega), edges.get(opp, []))
+    bps = _plan_outer_car(n, omega, transits, busy, horizon)
+    return FlowSchedule(face=k.e_infinity, circuit=n, breakpoints=tuple(bps))
 
 
 def adversarial_schedule(
@@ -575,6 +571,7 @@ def adversarial_schedule(
 
     The outer face must be a single loop edge whose other side belongs to a
     face with a longer boundary; omega is an interior coordinate in (0, 1).
+    After its own checks it ends in ``_outer_car``, as ``uphill_schedule`` does.
     """
     if k.e_infinity is None:
         raise ScheduleError("complex has no distinguished outer face")
@@ -588,15 +585,10 @@ def adversarial_schedule(
     opp = [side for side in k.incidences.sides[eid] if side[0] != k.e_infinity]
     if len(opp) != 1 or opp[0][0] != b.face:
         raise ScheduleError("the given schedule does not drive the opposing face")
+    _check_fit(k, {b.face: b})
     if len(k.face_map[b.face].boundary) <= 1:
         raise ScheduleError("opposing boundary must properly contain the outer edge")
-
-    occupancy = _occupancy(k, {b.face: b}, horizon + (b.period or 0))
-    transits = _outer_transits(k, 0, occupancy[0].get(opp[0], []))
-    bps = _plan_outer_car(1, omega, transits, _outer_busy(k, occupancy), horizon)
-    return FlowSchedule(
-        face=k.e_infinity, circuit=1, breakpoints=tuple(bps), period=None
-    )
+    return _outer_car(k, {b.face: b}, opp[0], omega, horizon)
 
 
 def uphill_schedule(
@@ -607,6 +599,8 @@ def uphill_schedule(
     Inner cars run uniform unit schedules phased to have just left the outer
     boundary at time 0, so recurring windows exist in which no car is on it;
     the outer car uses those windows to keep all its meetings at omega.
+    After its own checks it ends in ``_outer_car``, as ``adversarial_schedule``
+    does.
     """
     if k.e_infinity is None:
         raise ScheduleError("complex has no distinguished outer face")
@@ -639,25 +633,9 @@ def uphill_schedule(
             start = Q(1, 3)
         schedules[f.id] = uniform_schedule(f, start)
 
-    j0 = _floor(omega)
-    eid, _ = inf_face.boundary[j0]
+    eid, _ = inf_face.boundary[_floor(omega)]
     opp = [side for side in k.incidences.sides[eid] if side[0] != k.e_infinity]
     if len(opp) != 1:
         raise ScheduleError("outer edge must have exactly one opposing face")
-    # only cars with a corner on the outer boundary can touch it
-    touching = {
-        f
-        for vid in map(k.step_start, inf_face.boundary)
-        for f, _ in k.incidences.slots[vid]
-    }
-    occupancy = _occupancy(
-        k,
-        {f: s for f, s in schedules.items() if f in touching},
-        horizon + (schedules[opp[0][0]].period or 0),
-    )
-    transits = _outer_transits(k, j0, occupancy[0].get(opp[0], []))
-    bps = _plan_outer_car(n, omega, transits, _outer_busy(k, occupancy), horizon)
-    schedules[k.e_infinity] = FlowSchedule(
-        face=k.e_infinity, circuit=n, breakpoints=tuple(bps), period=None
-    )
+    schedules[k.e_infinity] = _outer_car(k, schedules, opp[0], omega, horizon)
     return schedules

@@ -47,6 +47,37 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_dead_private_names():
+    """Every module-level private function, class or alias is referenced
+    somewhere in the package, not only from tests."""
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(onerelator.__file__).parent.glob("*.py"))
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__"):
+                    if private not in used:
+                        found.append(f"{name}:{node.lineno} {private}")
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     """Each demo script runs to completion against the package under test."""

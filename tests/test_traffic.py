@@ -27,7 +27,7 @@ from onerelator import (
     verify_at_least_two_crashes,
 )
 from onerelator.spheres import SphereComplex
-from onerelator.traffic import common_period
+from onerelator.traffic import _free_window, _merge_intervals, common_period
 from conftest import (
     IDENT,
     bigon_pencil,
@@ -37,6 +37,7 @@ from conftest import (
     triangle_pair,
     uphill_two_edge,
 )
+from traffic_reference import free_window as reference_free_window
 from traffic_reference import simulate as reference_simulate
 
 
@@ -65,6 +66,10 @@ def test_schedule_validation():
         FlowSchedule("f", 2, ((Q(0), Q(0)), (Q(2), Q(2))), period=Q(3))
     with pytest.raises(ScheduleError):
         FlowSchedule("f", 2, ((Q(0), Q(0)), (Q(2), Q(1))), period=Q(2))
+    # a circuit below 1 would divide by zero in .stops or run backwards
+    for circuit, period in ((0, None), (0, Q(1)), (-2, None)):
+        with pytest.raises(ScheduleError, match="circuit must be positive"):
+            FlowSchedule("f", circuit, ((Q(0), Q(0)), (Q(1), Q(0))), period=period)
 
 
 def test_schedule_position_and_wrap():
@@ -251,6 +256,35 @@ def test_reference_outer_car_plans():
     assert_matches_reference(k, uphill_schedule(k, Q(1, 2), Q(24)), Q(24))
 
 
+def _window_or_error(find, busy, a, b):
+    try:
+        return find(busy, a, b)
+    except ScheduleError as exc:
+        return str(exc)
+
+
+def test_free_window_matches_reference():
+    """The one-pass window search equals the all-gaps scan it replaced, its
+    "no free window" refusals included: on merged busy lists with instants
+    and with touching spans merged, and on windows that start before,
+    inside, at the end of or after a span, or that are empty."""
+    outcomes = set()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        spans = []
+        for _ in range(rng.randrange(6)):
+            x = Q(rng.randrange(24), 2)
+            spans.append((x, x + Q(rng.choice((0, 0, 1, 2, 3, 5)), 2)))
+        busy = _merge_intervals(spans)
+        marks = sorted({t for span in busy for t in span} | {Q(0), Q(14)})
+        a = rng.choice(marks) if rng.random() < 0.5 else Q(rng.randrange(56), 4)
+        b = a + Q(rng.randrange(14), 2)
+        got = _window_or_error(_free_window, busy, a, b)
+        assert got == _window_or_error(reference_free_window, busy, a, b)
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}  # both windows and refusals were compared
+
+
 def test_reference_parked_across_stay_boundary():
     """Both cars park at the middle of e1; f1's parking is split at t = 1."""
     k = bigon_sphere()
@@ -391,6 +425,12 @@ def test_adversarial_preconditions():
         adversarial_schedule(
             plain, uniform_schedule(plain.face_map["f0"]), Q(1, 3), Q(10)
         )
+    # f0 has two edges: a schedule of another circuit does not fit it
+    for circuit in (1, 3):
+        bps = ((Q(0), Q(0)), (Q(circuit), Q(circuit)))
+        wrong = FlowSchedule("f0", circuit, bps, period=Q(circuit))
+        with pytest.raises(ScheduleError, match="circuit mismatch on face f0"):
+            adversarial_schedule(k, wrong, Q(1, 3), Q(10))
 
 
 # -- coherently oriented outer boundaries -------------------------------------

@@ -1,8 +1,11 @@
-"""The crash simulation as it stood before the sweep-line rewrite.
+"""The crash simulation as it stood before the sweep-line rewrite, and the
+outer car's free-window search as it stood before its one-pass rewrite.
 
-Kept verbatim as the reference that tests compare ``onerelator.simulate``
-against: an all-pairs scan over each edge's stays, and a vertex scan that
-tests every slot's spans at every sampled instant.
+Kept verbatim as the references that tests compare ``onerelator.simulate``
+and ``traffic._free_window`` against: an all-pairs scan over each edge's
+stays, a vertex scan that tests every slot's spans at every sampled
+instant, and a window search that tests every gap between sorted marks
+against every busy span.
 """
 from __future__ import annotations
 
@@ -236,3 +239,22 @@ def simulate(
     )
     return tuple(CrashEvent(*item) for item in uniq)
 
+
+def free_window(busy: list[tuple[Q, Q]], a: Q, b: Q) -> tuple[Q, Q]:
+    """Largest open busy-free subinterval of (a, b)."""
+    marks = [a]
+    for x, y in busy:
+        if y <= a or x >= b:
+            continue
+        marks.extend([max(x, a), min(y, b)])
+    marks.append(b)
+    marks.sort()
+    best = None
+    for lo, hi in zip(marks, marks[1:]):
+        if any(x <= lo and hi <= y for x, y in busy):
+            continue
+        if best is None or hi - lo > best[1] - best[0]:
+            best = (lo, hi)
+    if best is None or best[1] <= best[0]:
+        raise ScheduleError(f"no free window inside ({a}, {b})")
+    return best
