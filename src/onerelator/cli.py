@@ -52,6 +52,10 @@ from .words import (
 
 Q = Fraction
 
+#: Largest ``simulate --horizon``, in common periods of the flow.  The
+#: report lists every event, so its size grows with the horizon.
+MAX_HORIZON_PERIODS = 64
+
 
 class InputError(ValueError):
     """Invalid command-line input (exit code 2)."""
@@ -167,12 +171,18 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     for f in k.faces:
         n = len(f.boundary)
         schedules[f.id] = uniform_schedule(f, Q(rng.randrange(4 * n), 4))
+    period = common_period(schedules)
     if args.horizon is not None:
         horizon = _parse_fraction(args.horizon)
+        if horizon > MAX_HORIZON_PERIODS * period:
+            raise InputError(
+                f"--horizon is capped at {MAX_HORIZON_PERIODS} common periods"
+                f" ({MAX_HORIZON_PERIODS * period}), got {args.horizon}"
+            )
         events = simulate(k, schedules, horizon)
         ok: Optional[bool] = None
     else:
-        horizon = 2 * common_period(schedules)
+        horizon = 2 * period
         ok, events = verify_at_least_two_crashes(k, schedules, horizon)
     return {
         "at_least_two_complete_crashes": ok,

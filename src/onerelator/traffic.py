@@ -294,33 +294,31 @@ def _check_fit(k: SphereComplex, schedules: Mapping[str, FlowSchedule]) -> None:
             raise ScheduleError(f"schedule circuit mismatch on face {fid}")
 
 
-def simulate(
-    k: SphereComplex, schedules: Mapping[str, FlowSchedule], horizon: Q
-) -> tuple[CrashEvent, ...]:
-    """All crash events in [0, horizon], time-ordered, in exact arithmetic.
+_Event = tuple[Q, tuple, tuple[str, ...], bool]  # the fields of a CrashEvent
 
-    Cost: each schedule is cut into pieces once, and each piece is filed
-    under its side or slot as it is cut, in time order.  The sides of each
-    edge and the slots of each vertex come from the complex's incidences.
-    Each pair of sides of an edge merges its two time-ordered stay lists,
-    linear in stays plus overlapping pairs; each vertex sorts its T span
-    endpoints once and sweeps them, so O(T log T) plus the slots of every
-    event it emits.
+
+def _sweep(
+    k: SphereComplex, schedules: Mapping[str, FlowSchedule], t_end: Q
+) -> tuple[list[_Event], list[_Event]]:
+    """The crash events in [0, t_end], possibly repeated, and the seam.
+
+    The seam is the part of the events at time 0 that the sweep finds only
+    from what follows 0: edge meetings found from stays that start at 0, and
+    vertex events of the open gap after 0.  At ``t_end`` the sweep sees
+    only the stays and spans that end there, as a horizon cuts them.  So for
+    a flow of period ``t_end``, its events at a later multiple of the period
+    short of the horizon are its events at ``t_end`` plus the seam.
     """
-    horizon = Q(horizon)
-    if set(schedules) != set(k.face_map):
-        raise ScheduleError("schedules must cover exactly the faces of the complex")
-    _check_fit(k, schedules)
-    if horizon <= 0:
-        return ()
-
-    stays, corner_occ = _occupancy(k, schedules, horizon)
-    events: list[CrashEvent] = []
+    stays, corner_occ = _occupancy(k, schedules, t_end)
+    events: list[_Event] = []
+    seam: list[_Event] = []
     for eid, sides in k.incidences.sides.items():
         for a, b in combinations(sides, 2):
             who = tuple(sorted({a[0], b[0]}))
             for t, c in _edge_meetings(stays.get(a, []), stays.get(b, [])):
-                events.append(CrashEvent(t, ("edge", eid, c), who, complete=True))
+                events.append((t, ("edge", eid, c), who, True))
+                if t == 0:
+                    seam.append(events[-1])
 
     for vid, slots in k.incidences.slots.items():
         spans = {slot: corner_occ.get(slot, []) for slot in slots}
@@ -341,24 +339,64 @@ def simulate(
             occ.symmetric_difference_update(toggles[sample])
             if len(occ) >= 2:
                 faces_here = tuple(sorted({f for f, _ in occ}))
-                events.append(
-                    CrashEvent(
-                        times[sample // 2],
-                        ("vertex", vid),
-                        faces_here,
-                        complete=len(occ) == len(slots),
-                    )
-                )
+                t = times[sample // 2]
+                complete = len(occ) == len(slots)
+                events.append((t, ("vertex", vid), faces_here, complete))
+                if sample == 1 and t == 0:
+                    seam.append(events[-1])
+    return events, seam
 
-    uniq = sorted(
-        {(e.time, e.site, e.participants, e.complete) for e in events}
-    )
-    return tuple(CrashEvent(*item) for item in uniq)
+
+def simulate(
+    k: SphereComplex, schedules: Mapping[str, FlowSchedule], horizon: Q
+) -> tuple[CrashEvent, ...]:
+    """All crash events in [0, horizon], time-ordered, in exact arithmetic.
+
+    Cost: each schedule is cut into pieces once, and each piece is filed
+    under its side or slot as it is cut, in time order.  The sides of each
+    edge and the slots of each vertex come from the complex's incidences.
+    Each pair of sides of an edge merges its two time-ordered stay lists,
+    linear in stays plus overlapping pairs; each vertex sorts its T span
+    endpoints once and sweeps them, so O(T log T) plus the slots of every
+    event it emits.
+
+    When every schedule is periodic and the horizon exceeds their common
+    period P, the sweep covers [0, P] once, and the events of the later
+    periods are translated copies of its events after time 0, plus its
+    seam at each multiple of P before the horizon.  A horizon that is not
+    a multiple of P ends in a part period r, swept on its own over [0, r]
+    so that its last instant is cut off as the horizon cuts it.
+    """
+    horizon = Q(horizon)
+    if set(schedules) != set(k.face_map):
+        raise ScheduleError("schedules must cover exactly the faces of the complex")
+    _check_fit(k, schedules)
+    if horizon <= 0:
+        return ()
+
+    periodic = bool(schedules) and all(s.period is not None for s in schedules.values())
+    period = common_period(schedules) if periodic else None
+    if period is None or horizon <= period:
+        events = set(_sweep(k, schedules, horizon)[0])
+    else:
+        laps, rest = divmod(horizon, period)
+        base, seam = _sweep(k, schedules, period)
+        events = set(base)
+        repeated = seam + [e for e in events if e[0] > 0]
+        copies = [(j * period, repeated) for j in range(1, laps)]
+        if rest:
+            tail = _sweep(k, schedules, rest)[0]
+            copies.append((laps * period, seam + [e for e in tail if e[0] > 0]))
+        for shift, part in copies:
+            events.update((t + shift, *e) for t, *e in part)
+    return tuple(CrashEvent(*item) for item in sorted(events))
 
 
 def common_period(schedules: Mapping[str, FlowSchedule]) -> Q:
     """The least common period of periodic schedules."""
     periods = [s.period for s in schedules.values()]
+    if not periods:
+        raise ScheduleError("no schedules")
     if any(p is None for p in periods):
         raise ScheduleError("all schedules must be periodic")
     num = lcm(*(p.numerator for p in periods))
@@ -371,7 +409,10 @@ def verify_at_least_two_crashes(
 ) -> tuple[bool, tuple[CrashEvent, ...]]:
     """True iff at least two complete crashes occur within the horizon.
 
-    The horizon must cover at least two common periods of the schedules.
+    The horizon must cover at least two common periods of the schedules,
+    as the car-crash lemma states it.  ``simulate`` sweeps only the first
+    period and translates its events into the later ones, so at two common
+    periods the check costs one period's sweep.
     """
     common = common_period(schedules)
     if Q(horizon) < 2 * common:

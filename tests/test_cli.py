@@ -4,12 +4,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from onerelator import free_alphabet, parse_word
-from onerelator.cli import main
+from onerelator.cli import MAX_HORIZON_PERIODS, main
 import surjectivity_reference as reference
 
 GOLDEN = "tests/data/random_seed0_size3.json"
@@ -307,6 +308,28 @@ def test_bad_horizon_exits_2(capsys):
         capsys, "simulate", "--complex", GOLDEN, "--horizon", "x"
     )
     assert code == 2
+
+
+def test_horizon_cap(capsys):
+    """Uniform cars on the golden complex have common period 6, so the
+    horizon is capped at 6 * MAX_HORIZON_PERIODS; a huge one is refused
+    before any simulation."""
+    cap = 6 * MAX_HORIZON_PERIODS
+    code, out, _ = run_cli(
+        capsys, "simulate", "--complex", GOLDEN, "--horizon", str(cap)
+    )
+    assert code == 0 and out["report"]["horizon"] == f"{cap}/1"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--complex", GOLDEN, "--horizon", f"{cap}.001"
+    )
+    assert code == 2 and out is None
+    started = time.monotonic()
+    code, out, err = run_cli(
+        capsys, "simulate", "--complex", GOLDEN, "--horizon", "1e9"
+    )
+    assert time.monotonic() - started < 1
+    assert code == 2 and out is None
+    assert f"--horizon is capped at {MAX_HORIZON_PERIODS} common periods" in err
 
 
 def test_bad_target_shape_exits_2(capsys):

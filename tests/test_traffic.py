@@ -183,6 +183,8 @@ def test_common_period():
     finite = FlowSchedule("f1", 2, ((Q(0), Q(0)), (Q(4), Q(4))))
     with pytest.raises(ScheduleError):
         common_period({"f1": finite, "f2": two})
+    with pytest.raises(ScheduleError, match="no schedules"):
+        common_period({})
 
 
 # -- simulation against the reference scan -----------------------------------
@@ -254,6 +256,87 @@ def test_reference_outer_car_plans():
         assert_matches_reference(k, sch, Q(12))
     k = uphill_two_edge()
     assert_matches_reference(k, uphill_schedule(k, Q(1, 2), Q(24)), Q(24))
+
+
+def seam_flows():
+    """Periodic flows whose events at multiples of the common period, or at
+    a horizon a part period past one, are not copies of the events at the
+    end of the first period."""
+    k = bigon_sphere()
+    # parked together at the middle of e1 over [2, 4]: the meeting at 3 is
+    # found from the stays that start there, as it is at 0
+    parked = {
+        "f1": schedule("f1", (0, Q(1, 2)), (1, Q(1, 2)), (2, Q(5, 2)), (3, Q(5, 2))),
+        "f2": schedule("f2", (0, Q(3, 2)), (1, Q(3, 2)), (2, Q(7, 2)), (3, Q(7, 2))),
+    }
+    pencil = bigon_pencil(("a", "b", "c"))
+
+    def wait(f):
+        return schedule(f, (0, 0), (1, 0), (3, 2), (4, 2))
+
+    # f1 and f2 wait at u over [3, 5]; f0 passes u at 4, which leaves the
+    # two of them there in the open gap after 4, as after 0
+    passing = {
+        "f0": schedule("f0", (0, 0), (2, 1), (4, 2)),
+        "f1": wait("f1"),
+        "f2": wait("f2"),
+    }
+    # f0 leaves u at 1/2 and at 9/2, where the horizon 9/2 cuts the gap after
+    leaving = {
+        "f0": schedule("f0", (0, 0), (Q(1, 2), 0), (4, 2)),
+        "f1": wait("f1"),
+        "f2": wait("f2"),
+    }
+    return [(k, parked), (pencil, passing), (pencil, leaving)]
+
+
+def test_reference_folded_horizons():
+    """Folding the flow to one common period P changes no event, at
+    horizons below P, at P, a part period past it and at multiples of it:
+    the seam flows, random stops and parking on the hand-built complexes,
+    and uniform phases on random complexes."""
+    hand_built = [
+        bigon_sphere(),
+        triangle_pair(),
+        mirrored_pair(),
+        tetrahedron(),
+        bigon_pencil(("a", "b", "")),
+        uphill_two_edge(),
+    ]
+    cases = seam_flows()
+    for seed in range(36):
+        rng = random.Random(seed)
+        k = hand_built[seed % 6]
+        cases.append((k, {f.id: random_schedule(f, rng) for f in k.faces}))
+    for seed in range(24):
+        rng = random.Random(seed)
+        k = generate_random(seed, seed % 4 + 1)
+        cases.append((k, {
+            f.id: uniform_schedule(f, Q(rng.randrange(4 * len(f.boundary)), 4))
+            for f in k.faces
+        }))
+    folded = 0
+    for k, sch in cases:
+        p = common_period(sch)
+        if p > 20:
+            continue
+        folded += 1
+        for horizon in (p / 2, p, p + Q(1, 3), p + Q(1, 2), 2 * p, 5 * p / 2, 3 * p):
+            assert_matches_reference(k, sch, horizon)
+    assert folded >= 36
+
+
+def test_folded_start_is_not_repeated():
+    """Both cars wait at u over [3, 5], across the period boundary at
+    P = 4, so u is occupied at t = 0 and does not change at 4: the sweep
+    reports u at 0, where it has no earlier instant to compare with, and
+    the fold must not copy that event to 4 or 8."""
+    k = bigon_sphere()
+    sch = {f: schedule(f, (0, 0), (1, 0), (3, 2), (4, 2)) for f in ("f1", "f2")}
+    events = simulate(k, sch, Q(10))
+    assert events == reference_simulate(k, sch, Q(10))
+    at_u = [e.time for e in events if e.site == ("vertex", "u")]
+    assert at_u == [Q(0), Q(3), Q(7)]
 
 
 def _window_or_error(find, busy, a, b):
