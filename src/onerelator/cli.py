@@ -72,6 +72,13 @@ def _parse(word: str, rank: int) -> Word:
         raise InputError(str(exc)) from exc
 
 
+def _relator(word: str, rank: int) -> Word:
+    w = _parse(word, rank)
+    if w.is_identity():
+        raise InputError("relator must be nontrivial")
+    return w
+
+
 def _load(path: str) -> SphereComplex:
     try:
         return load_complex(path)
@@ -93,7 +100,7 @@ def _event_record(e) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> dict:
-    w = _parse(args.word, args.rank)
+    w = _relator(args.word, args.rank)
     v = analyze(w, args.rank)
     return {
         "evidence": v.evidence,
@@ -174,6 +181,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     period = common_period(schedules)
     if args.horizon is not None:
         horizon = _parse_fraction(args.horizon)
+        if horizon <= 0:
+            raise InputError(f"--horizon must be positive, got {args.horizon}")
         if horizon > MAX_HORIZON_PERIODS * period:
             raise InputError(
                 f"--horizon is capped at {MAX_HORIZON_PERIODS} common periods"
@@ -193,7 +202,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_certify(args: argparse.Namespace) -> dict:
-    w = _parse(args.word, args.rank)
+    w = _relator(args.word, args.rank)
     pres = one_relator_presentation(w, args.rank)
     if args.max_degree < 1:
         raise InputError(f"--max-degree must be at least 1, got {args.max_degree}")
@@ -221,6 +230,10 @@ def cmd_search_kernel(args: argparse.Namespace) -> dict:
         shape = tuple(int(part) for part in args.target_shape.split(","))
     except ValueError as exc:
         raise InputError(f"bad --target-shape: {args.target_shape!r}") from exc
+    if 0 in shape:
+        raise InputError(
+            f"--target-shape entries must be non-zero, got {args.target_shape!r}"
+        )
     if args.conj_len < 1 or args.products < 1:
         raise InputError("--conj-len and --products must be at least 1")
     hit = normal_closure_search(

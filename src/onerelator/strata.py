@@ -20,7 +20,6 @@ from .words import (
     exponent_sum,
     free_reduce,
     cyclic_reduce,
-    is_conjugate_to_gt,
     substitute,
 )
 
@@ -173,9 +172,14 @@ def _rotation_decomposition(
 ) -> Optional[Lemma2Decomposition]:
     """The decomposition of the rotation ``kernel * t`` of the cyclic
     reduction, where ``prefix`` is the rotated-away part and ``u0`` the
-    conjugator of the cyclic reduction; None when it has none."""
+    conjugator of the cyclic reduction; None when it has none.
+
+    A kernel on one level (the rotation is g t, g possibly trivial) gives
+    the pair-free decomposition with c = g and parameter 1.  Raises
+    ``RuntimeError`` if the decomposition does not reassemble the rotation.
+    """
     k = kernel_canonical_form(kernel)
-    lo, hi = level_bounds(k)
+    lo, hi = (0, 0) if k.is_identity() else level_bounds(k)
     k, m = k.shifted(-lo), hi - lo
     factors = k.factors
     pairs: list[tuple[KernelForm, KernelForm]] = []
@@ -190,14 +194,12 @@ def _rotation_decomposition(
             pairs.append((b, a))
             done = pos + len(run)
         pos += len(run)
-    if not pairs:
-        return None
     # conjugator v with v^-1 * (k t) * v == w
     v = Word.generator(STABLE) ** lo * (prefix.inverse() * u0)
     c = KernelForm(factors[done:])
-    d = Lemma2Decomposition(m=m, pairs=tuple(pairs), c=c, conjugator=v)
+    d = Lemma2Decomposition(m=max(m, 1), pairs=tuple(pairs), c=c, conjugator=v)
     if d.reassemble() != expand(k) * Word.generator(STABLE):
-        return None
+        raise RuntimeError(f"decomposition of {kernel}t does not reassemble it")
     return d
 
 
@@ -211,22 +213,14 @@ def decompositions(w: Word) -> Iterator[Lemma2Decomposition]:
     reduced word two runs of factors at levels >= 1 could touch only through
     a cancelling t t^-1, so every Z-segment is one whole run, and every run
     that reaches level m fits only Z.  The factors before, between and after
-    those runs are b_0, ..., b_r and c.
+    those runs are b_0, ..., b_r and c.  A kernel on one level, which occurs
+    exactly when w ~ g t, gives the pair-free decomposition c = g with
+    parameter 1.
     """
     if exponent_sum(w) != 1:
         raise NonzeroExponentSum("decomposition requires exponent sum 1")
     reduced, u0 = cyclic_reduce(w)
     letters = reduced.letters
-
-    gt = is_conjugate_to_gt(w)
-    if gt is not None:
-        g, _ = gt
-        # degenerate case: w ~ g t with empty pair list and c = g at level 0
-        c = KernelForm(((g, 0),) if not g.is_identity() else ())
-        # the cyclic reduction is g t itself, so u0 is the conjugator
-        yield Lemma2Decomposition(m=1, pairs=(), c=c, conjugator=u0)
-        return
-
     found = []
     for i in range(len(letters)):
         rot = letters[i:] + letters[:i]

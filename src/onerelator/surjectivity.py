@@ -88,15 +88,12 @@ class AmenabilityResult:
     known: bool
 
 
-def amenable_shape(
-    shape: tuple[int, ...],
-    registry: Optional[Mapping[tuple[int, ...], bool]] = None,
-) -> AmenabilityResult:
-    """Membership in the built-in amenable t-shape families, else the registry.
+def amenable_shape(shape: tuple[int, ...]) -> AmenabilityResult:
+    """Membership in the known amenable t-shape families.
 
-    Built-ins: the single-letter shapes (+1) and (-1), and the alternating
-    family (-1, +1, ..., -1, +1, +1).  Shapes outside the built-ins and the
-    registry are reported as not known.
+    The families are the single-letter shapes (+1) and (-1), and the
+    alternating family (-1, +1, ..., -1, +1, +1).  Other shapes are reported
+    as not known.
     """
     shape = tuple(shape)
     if shape in ((1,), (-1,)):
@@ -108,8 +105,6 @@ def amenable_shape(
         and all(q == (-1 if i % 2 == 0 else 1) for i, q in enumerate(shape[:-1]))
     ):
         return AmenabilityResult(amenable=True, known=True)
-    if registry is not None and shape in registry:
-        return AmenabilityResult(amenable=bool(registry[shape]), known=True)
     return AmenabilityResult(amenable=False, known=False)
 
 

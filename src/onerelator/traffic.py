@@ -63,10 +63,6 @@ class FlowSchedule:
             if bps[-1][1] - bps[0][1] != self.circuit:
                 raise ScheduleError("one full circuit per period required")
 
-    @property
-    def end_time(self) -> Optional[Q]:
-        return None if self.period is not None else self.breakpoints[-1][0]
-
     def position(self, t: Q) -> Q:
         """Unwrapped position at time t (reduce mod circuit for the coordinate)."""
         t = Q(t)
@@ -82,15 +78,6 @@ class FlowSchedule:
             if t <= t1:
                 return laps + p0 + (p1 - p0) * (t - t0) / (t1 - t0)
         raise AssertionError
-
-    @property
-    def stops(self) -> tuple[tuple[int, tuple[Q, Q]], ...]:
-        """Corner stops: (corner index, (start, end)) for zero-slope segments."""
-        out = []
-        for (t0, p0), (t1, p1) in zip(self.breakpoints, self.breakpoints[1:]):
-            if p0 == p1 and p0 == _floor(p0):
-                out.append((_floor(p0) % self.circuit, (t0, t1)))
-        return tuple(out)
 
 
 @dataclass(frozen=True)

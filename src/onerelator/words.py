@@ -88,10 +88,6 @@ class Word:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def identity() -> "Word":
-        return Word()
-
-    @staticmethod
     def generator(sym: str, sign: int = 1) -> "Word":
         return Word(((sym, sign),))
 
@@ -136,11 +132,7 @@ def free_reduce(raw: Iterable[Letter]) -> Word:
     return Word(_reduce(raw))
 
 
-def parse_word(
-    text: str,
-    alphabet: Iterable[str],
-    allow_aux: bool = False,
-) -> Word:
+def parse_word(text: str, alphabet: Iterable[str]) -> Word:
     """Parse the surface syntax: letters, uppercase inverses, optional ``^k``.
 
     Raises :class:`WordSyntaxError` with the offending position, also for an
@@ -148,7 +140,7 @@ def parse_word(
     generators outside ``alphabet``.
     """
     alpha = frozenset(alphabet)
-    known = alpha | {STABLE} | ({AUX} if allow_aux else frozenset())
+    known = alpha | {STABLE}
     raw: list[Letter] = []
     i, n = 0, len(text)
     while i < n:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from onerelator import free_alphabet, parse_word
+from onerelator import Word, free_alphabet, parse_word, strata
 from onerelator.cli import MAX_HORIZON_PERIODS, main
 import surjectivity_reference as reference
 
@@ -330,6 +330,32 @@ def test_horizon_cap(capsys):
     assert time.monotonic() - started < 1
     assert code == 2 and out is None
     assert f"--horizon is capped at {MAX_HORIZON_PERIODS} common periods" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--word", "aA"),
+        ("analyze", "--word", ""),
+        ("certify", "--word", "aA"),
+        ("certify", "--word", ""),
+        ("simulate", "--complex", GOLDEN, "--horizon", "0"),
+        ("simulate", "--complex", GOLDEN, "--horizon", "-5"),
+        ("search-kernel", "--word", "at", "--target-shape", "0"),
+        ("search-kernel", "--word", "at", "--target-shape", "1,0"),
+    ],
+)
+def test_vacuous_input_exits_2(capsys, argv):
+    """The identity relator, a horizon that simulates nothing and a t-shape
+    with a zero entry are refused as invalid input."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out is None and err.startswith("error: ")
+
+
+def test_decomposition_fault_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(strata, "_pair_word", lambda d, sym: Word())
+    code, out, err = run_cli(capsys, "decompose", "--word", "bTatct", "--rank", "3")
+    assert code == 3 and out is None and err.startswith("internal error: ")
 
 
 def test_bad_target_shape_exits_2(capsys):

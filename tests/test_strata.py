@@ -24,6 +24,7 @@ from onerelator import (
     level_bounds,
     parse_word,
     phi,
+    strata,
     stratum_membership,
     substitute_aux,
 )
@@ -127,9 +128,22 @@ def check_decomposition(word, d):
 
 
 def test_decompose_gt_form():
-    d = lemma2_decompose(parse_word("ct", free_alphabet(3)))
-    assert d.m == 1 and d.pairs == ()
-    assert str(d.c) == "(c)@0"
+    """w ~ g t has exactly one decomposition: no pairs, c = g, parameter 1."""
+    cases = (("ct", "(c)@0", ""), ("t", "1", ""), ("Tatt", "(a)@0", "t"))
+    for text, c, conjugator in cases:
+        word = parse_word(text, free_alphabet(3))
+        (d,) = decompositions(word)
+        assert d.m == 1 and d.pairs == () and d.source() == word
+        assert str(d.c) == c and str(d.conjugator) == conjugator
+        assert lemma2_decompose(word) == d
+
+
+def test_reassembly_failure_raises(monkeypatch):
+    """A decomposition that does not reassemble its rotation is an internal
+    fault, not a missing decomposition or invalid input."""
+    monkeypatch.setattr(strata, "_pair_word", lambda d, sym: Word())
+    with pytest.raises(RuntimeError, match="does not reassemble"):
+        list(decompositions(w("bTatt")))
 
 
 def test_decompose_three_coefficient_word():
@@ -238,5 +252,5 @@ def test_two_variable_word_round_trip():
 
 
 def test_substitute_aux_inverse_letters():
-    two = parse_word("aS", AB, allow_aux=True)
+    two = Word((("a", 1), ("s", -1)))
     assert substitute_aux(two, w("bt")) == w("aTB")

@@ -112,11 +112,6 @@ def test_amenable_shapes():
     assert amenable_shape((-1, 1, -1, 1, 1)).amenable
     unknown = amenable_shape((1, 1))
     assert not unknown.amenable and not unknown.known
-    reg = {(1, 1): True, (2,): False}
-    hit = amenable_shape((1, 1), reg)
-    assert hit.amenable and hit.known
-    miss = amenable_shape((2,), reg)
-    assert not miss.amenable and miss.known
 
 
 # -- bounded normal-closure search -------------------------------------------

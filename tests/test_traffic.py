@@ -66,7 +66,7 @@ def test_schedule_validation():
         FlowSchedule("f", 2, ((Q(0), Q(0)), (Q(2), Q(2))), period=Q(3))
     with pytest.raises(ScheduleError):
         FlowSchedule("f", 2, ((Q(0), Q(0)), (Q(2), Q(1))), period=Q(2))
-    # a circuit below 1 would divide by zero in .stops or run backwards
+    # a circuit below 1 would divide by zero in _occupancy or run backwards
     for circuit, period in ((0, None), (0, Q(1)), (-2, None)):
         with pytest.raises(ScheduleError, match="circuit must be positive"):
             FlowSchedule("f", circuit, ((Q(0), Q(0)), (Q(1), Q(0))), period=period)
@@ -80,7 +80,8 @@ def test_schedule_position_and_wrap():
     finite = FlowSchedule("f", 1, ((Q(0), Q(0)), (Q(1), Q(1))))
     with pytest.raises(ScheduleError):
         finite.position(Q(2))
-    assert finite.end_time == 1 and s.end_time is None
+    assert finite.period is None and finite.breakpoints[-1][0] == 1
+    assert s.period == 3
 
 
 # -- standard schedules -------------------------------------------------------
@@ -95,11 +96,13 @@ def test_standard_schedule_contract(r):
     for i in range(2 * r + 3):
         if i <= 2 * r + 2:
             assert s.position(Q(i)) == i
+    bps = s.breakpoints
+    stops = [(t0, t1, p0) for (t0, p0), (t1, p1) in zip(bps, bps[1:]) if p0 == p1]
     if r == 0:
-        assert s.stops == ()
+        assert stops == []
     else:
-        ((corner, (t0, t1)),) = s.stops
-        assert corner == (2 * r + 2) % s.circuit
+        ((t0, t1, corner),) = stops
+        assert corner == 2 * r + 2
         assert t1 - t0 == 2 * r - 1 and t0 == 2 * r + 2
     # exactly one circuit per period
     assert s.position(s.period) - s.position(Q(0)) == s.circuit
@@ -466,7 +469,7 @@ def test_adversarial_meets_only_at_omega():
     omega, horizon = Q(1, 3), Q(20)
     b = uniform_schedule(k.face_map["f0"])
     a = adversarial_schedule(k, b, omega, horizon)
-    assert a.period is None and a.end_time == horizon
+    assert a.period is None and a.breakpoints[-1][0] == horizon
     sch = {"f_inf": a, "f0": b, "f1": uniform_schedule(k.face_map["f1"])}
     events = simulate(k, sch, horizon)
     assert outer_sites(events) == {("edge", "e_inf", omega)}
@@ -525,7 +528,7 @@ def test_uphill_two_edges():
     sch = uphill_schedule(k, omega, horizon)
     assert set(sch) == set(k.face_map)
     outer = sch["A"]
-    assert outer.period is None and outer.end_time == horizon
+    assert outer.period is None and outer.breakpoints[-1][0] == horizon
     events = simulate(k, sch, horizon)
     outer_hits = [e for e in events if e.complete and "A" in e.participants]
     assert outer_hits, "the outer car must keep meeting its neighbours"

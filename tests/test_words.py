@@ -107,7 +107,6 @@ def test_parse_word_basics():
         parse_word("a!", AB)
     with pytest.raises(WordSyntaxError):
         parse_word("s", AB)
-    assert parse_word("s", AB, allow_aux=True).letters == (("s", 1),)
 
 
 def test_parse_word_caps_exponents():
