@@ -225,7 +225,7 @@ def cmd_certify(args: argparse.Namespace) -> dict:
 
 
 def cmd_search_kernel(args: argparse.Namespace) -> dict:
-    w = _parse(args.word, args.rank)
+    w = _relator(args.word, args.rank)
     try:
         shape = tuple(int(part) for part in args.target_shape.split(","))
     except ValueError as exc:

@@ -510,12 +510,12 @@ def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
 IDENTITY = Word()
 
 
-def dipole(outer_label: Optional[Word] = IDENTITY) -> SphereComplex:
+def dipole() -> SphereComplex:
     """One vertex, one loop edge, two faces; the first face is the outer one."""
     f_inf = Face(
         id="f_inf", boundary=(("e_inf", 1),), corners=(("v0", None),), type="infinity"
     )
-    f_out = Face(id="f0", boundary=(("e_inf", -1),), corners=(("v0", outer_label),))
+    f_out = Face(id="f0", boundary=(("e_inf", -1),), corners=(("v0", IDENTITY),))
     return SphereComplex(
         vertices=("v0",),
         edges=(("e_inf", "v0", "v0"),),
@@ -643,7 +643,21 @@ def _require_fields(obj: dict, allowed: set[str], context: str) -> None:
         raise ComplexFormatError(f"{context}: unknown fields {sorted(unknown)}")
 
 
+def _corner_label(text: Optional[str]) -> Optional[Word]:
+    if text is None:
+        return None
+    try:
+        label = parse_word(text, LABEL_ALPHABET)
+    except ValueError as exc:
+        raise ComplexFormatError(f"bad corner label {text!r}: {exc}") from exc
+    if not label.in_base_group():
+        raise ComplexFormatError(f"corner label {text!r} is not a base-group word")
+    return label
+
+
 def complex_from_dict(data: dict) -> SphereComplex:
+    if not isinstance(data, dict):
+        raise ComplexFormatError("complex document must be a JSON object")
     _require_fields(data, {"vertices", "edges", "faces", "distinguished"}, "complex")
     try:
         vertices = tuple(str(v) for v in data["vertices"])
@@ -663,12 +677,7 @@ def complex_from_dict(data: dict) -> SphereComplex:
             corners = []
             for c in f["corners"]:
                 _require_fields(c, {"vertex", "label"}, "corner")
-                label = (
-                    None
-                    if c["label"] is None
-                    else parse_word(c["label"], LABEL_ALPHABET)
-                )
-                corners.append((str(c["vertex"]), label))
+                corners.append((str(c["vertex"]), _corner_label(c["label"])))
             ftype = f.get("type")
             if ftype is not None and ftype not in FACE_TYPES:
                 raise ComplexFormatError(f"bad face type {ftype!r}")
@@ -690,7 +699,7 @@ def complex_from_dict(data: dict) -> SphereComplex:
             e_infinity=dist.get("e_infinity"),
             v0=dist.get("v0"),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ComplexFormatError(f"malformed complex document: {exc}") from exc
     _check_references(k)
     return k

@@ -119,13 +119,7 @@ def standard_schedule_II(face: Face, start_corner: int = 0) -> FlowSchedule:
     """Type II / II' schedule on a 2-gon: start at the h^phi corner, period 2."""
     if len(face.corners) != 2:
         raise ScheduleError("type II schedule requires a 2-gon")
-    sc = Q(start_corner)
-    return FlowSchedule(
-        face=face.id,
-        circuit=2,
-        breakpoints=((Q(0), sc), (Q(2), sc + 2)),
-        period=Q(2),
-    )
+    return uniform_schedule(face, Q(start_corner))
 
 
 def uniform_schedule(face: Face, start: Q = Q(0)) -> FlowSchedule:

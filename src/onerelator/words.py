@@ -101,10 +101,7 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return free_reduce(base.letters * abs(n))
 
     # -- predicates --------------------------------------------------------
 
@@ -197,26 +194,22 @@ def substitute(w: Word, sym: str, replacement: Word) -> Word:
 def blocks(w: Word) -> tuple[Word, tuple[tuple[int, Word], ...]]:
     """Split ``w`` as head g0 followed by (t-exponent, coefficient) blocks."""
     head: list[Letter] = []
-    out: list[tuple[int, Word]] = []
-    cur_exp = 0
-    cur: list[Letter] = []
-    seen_t = False
+    cur = head
+    exps: list[int] = []
+    coeffs: list[list[Letter]] = []
     for sym, sign in w.letters:
-        if sym == STABLE:
-            if seen_t and not cur and (sign > 0) == (cur_exp > 0):
-                cur_exp += sign
-            else:
-                if seen_t:
-                    out.append((cur_exp, Word(tuple(cur))))
-                cur_exp, cur, seen_t = sign, [], True
+        if sym != STABLE:
+            cur.append((sym, sign))
+        elif exps and not cur:
+            # adjacent t-letters of a reduced word share a sign
+            exps[-1] += sign
         else:
-            if seen_t:
-                cur.append((sym, sign))
-            else:
-                head.append((sym, sign))
-    if seen_t:
-        out.append((cur_exp, Word(tuple(cur))))
-    return Word(tuple(head)), tuple(out)
+            cur = []
+            exps.append(sign)
+            coeffs.append(cur)
+    return Word(tuple(head)), tuple(
+        (q, Word(tuple(g))) for q, g in zip(exps, coeffs)
+    )
 
 
 def exponent_sum(w: Word) -> int:
@@ -249,47 +242,44 @@ def assemble(coeffs: Sequence[Word], shape: Sequence[int]) -> Word:
 # -- cyclic reduction and conjugacy ----------------------------------------
 
 
+def _least_start(letters: Sequence[Letter], starts: Iterable[int]) -> int:
+    """The start i in ``starts`` whose rotation ``letters[i:] + letters[:i]``
+    is least under :func:`word_key`, the first such on ties; 0 if none."""
+    keys = word_key(letters)
+    return min(starts, key=lambda i: keys[i:] + keys[:i], default=0)
+
+
 def least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     """The rotation of ``letters`` that is least under :func:`word_key`; () if empty."""
-    return min(
-        (letters[i:] + letters[:i] for i in range(len(letters))),
-        key=word_key,
-        default=(),
-    )
+    i = _least_start(letters, range(len(letters)))
+    return letters[i:] + letters[:i]
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Cyclically reduce ``w``.
 
-    Returns ``(reduced, u)`` with ``u.inverse() * reduced * u == w``.  The
-    reduced word ends in a t-letter whenever it mixes base and t-letters, so
-    its final coefficient is trivial and its leading one is not.
+    Returns ``(reduced, u)`` with ``u.inverse() * reduced * u == w``.  With
+    ``w = P core P^-1`` and ``core`` cyclically reduced, ``reduced`` is
+    ``core`` itself when it starts with a base letter and ends in a t-letter,
+    or has no base letter or no t-letter.  Otherwise it is the least rotation
+    of ``core`` (under :func:`word_key`) that starts with a base letter and
+    ends in a t-letter, so its final coefficient is trivial and its leading
+    one is not.
     """
-    cur = list(w.letters)
-    conj: list[Letter] = []  # V, as letters; invariant: cur == V w V^-1
-    while len(cur) >= 2 and cur[0][0] == cur[-1][0] and cur[0][1] == -cur[-1][1]:
-        first = cur.pop(0)
-        cur.pop()
-        conj.insert(0, (first[0], -first[1]))
-    letters = tuple(cur)
-    has_t = any(sym == STABLE for sym, _ in letters)
-    has_base = any(sym != STABLE for sym, _ in letters)
-    if has_t and has_base and not (
-        letters[0][0] != STABLE and letters[-1][0] == STABLE
-    ):
-        # rotation i starts with letters[i] and ends with letters[i - 1]
-        best_i = min(
-            (
-                i
-                for i in range(len(letters))
-                if letters[i][0] != STABLE and letters[i - 1][0] == STABLE
-            ),
-            key=lambda i: word_key(letters[i:] + letters[:i]),
-        )
-        prefix = letters[:best_i]
-        letters = letters[best_i:] + prefix
-        conj = [(sym, -sign) for sym, sign in reversed(prefix)] + conj
-    return Word(letters), free_reduce(conj)
+    letters = w.letters
+    n = len(letters)
+    k = 0  # the length of P: outer letter pairs that cancel
+    while 2 * k + 1 < n and letters[k] == (letters[-1 - k][0], -letters[-1 - k][1]):
+        k += 1
+    core = letters[k : n - k]
+    # rotation i starts with core[i] and ends with core[i - 1]
+    starts = [
+        i
+        for i in range(len(core))
+        if core[i][0] != STABLE and core[i - 1][0] == STABLE
+    ]
+    i = _least_start(core, starts) if starts and starts[0] != 0 else 0
+    return Word(core[i:] + core[:i]), Word(letters[: k + i]).inverse()
 
 
 def conjugacy_canonical(w: Word) -> Word:

@@ -303,6 +303,18 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_complex_label_with_t_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(GOLDEN).read_text())
+    corner = next(
+        c for f in doc["faces"] for c in f["corners"] if c["label"] is not None
+    )
+    corner["label"] = "aT"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--complex", str(path))
+    assert code == 2 and out is None and "not a base-group word" in err
+
+
 def test_bad_horizon_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "simulate", "--complex", GOLDEN, "--horizon", "x"
@@ -339,6 +351,8 @@ def test_horizon_cap(capsys):
         ("analyze", "--word", ""),
         ("certify", "--word", "aA"),
         ("certify", "--word", ""),
+        ("search-kernel", "--word", "aA", "--target-shape", "1"),
+        ("search-kernel", "--word", "", "--target-shape", "1"),
         ("simulate", "--complex", GOLDEN, "--horizon", "0"),
         ("simulate", "--complex", GOLDEN, "--horizon", "-5"),
         ("search-kernel", "--word", "at", "--target-shape", "0"),

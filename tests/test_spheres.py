@@ -323,6 +323,23 @@ def test_bad_values_rejected():
     bad["faces"][0]["type"] = "VII"
     with pytest.raises(ComplexFormatError):
         complex_from_dict(bad)
+    # a document that is not a JSON object
+    for doc in ([{}], None, 5):
+        with pytest.raises(ComplexFormatError):
+            complex_from_dict(doc)
+    bad = copy.deepcopy(d)
+    bad["distinguished"] = ["v0"]
+    with pytest.raises(ComplexFormatError):
+        complex_from_dict(bad)
+    # corner labels must parse, and as words of the base group
+    for label in ("s", "a^99999", "t", "aT"):
+        bad = copy.deepcopy(d)
+        corner = next(
+            c for f in bad["faces"] for c in f["corners"] if c["label"] is not None
+        )
+        corner["label"] = label
+        with pytest.raises(ComplexFormatError, match="label"):
+            complex_from_dict(bad)
 
 
 def test_bad_json_rejected(tmp_path):

@@ -183,6 +183,78 @@ def test_cyclic_reduce_contract(raw):
         assert letters[0][0] != STABLE
 
 
+def reduced_words(max_len):
+    """Every freely reduced letter tuple of length <= max_len over a, b, t."""
+    layer = [()]
+    for _ in range(max_len):
+        yield from layer
+        layer = [
+            w + (l,) for w in layer for l in LETTERS if not w or w[-1] != (l[0], -l[1])
+        ]
+    yield from layer
+
+
+def oracle_cyclic_reduce(letters):
+    """Strip cancelling outer pairs one at a time, then rotate the core to
+    start with a base letter and end in t, unless it already does so or has
+    no base letter or no t-letter.  Returns (rotation, conjugator) letters."""
+    core, prefix = list(letters), []
+    while len(core) >= 2 and core[0] == (core[-1][0], -core[-1][1]):
+        prefix.append(core.pop(0))
+        core.pop()
+    is_t = [sym == STABLE for sym, _ in core]
+    starts = [i for i in range(len(core)) if not is_t[i] and is_t[i - 1]]
+    i = 0
+    if starts and 0 not in starts:
+        i = min(
+            starts,
+            key=lambda j: [(s == STABLE, s, e < 0) for s, e in core[j:] + core[:j]],
+        )
+    prefix += core[:i]
+    return tuple(core[i:] + core[:i]), tuple((s, -e) for s, e in reversed(prefix))
+
+
+def oracle_blocks(letters):
+    """Split at runs of t-letters, each run summed to one exponent."""
+    head, out = (), []
+    for is_t, run in itertools.groupby(letters, key=lambda l: l[0] == STABLE):
+        run = tuple(run)
+        if is_t:
+            out.append([sum(e for _, e in run), ()])
+        elif out:
+            out[-1][1] = run
+        else:
+            head = run
+    return head, [tuple(b) for b in out]
+
+
+def test_anatomy_exhaustive():
+    """cyclic_reduce and blocks on all 23,437 reduced words of length <= 6
+    over a, b, t, and powers on the 4,687 of length <= 5, each against an
+    independent construction."""
+    # the rotation rule keeps a core that starts with base and ends in t,
+    # even when another such rotation is less
+    btat = parse_word("btat", AB)
+    assert cyclic_reduce(btat) == (btat, Word())
+    count = 0
+    for letters in reduced_words(6):
+        count += 1
+        w = Word(letters)
+        reduced, u = cyclic_reduce(w)
+        assert (reduced.letters, u.letters) == oracle_cyclic_reduce(letters)
+        head, blks = blocks(w)
+        assert (head.letters, [(q, g.letters) for q, g in blks]) == oracle_blocks(
+            letters
+        )
+        if len(letters) <= 5:
+            assert w ** 0 == Word()
+            product, inverse, w_inv = Word(), Word(), w.inverse()
+            for e in range(1, 4):
+                product, inverse = product * w, inverse * w_inv
+                assert w ** e == product and w ** -e == inverse
+    assert count == 23_437
+
+
 def test_conjugacy_canonical_oracle():
     """Conjugate pairs agree, non-conjugate pairs differ (conjugators len <= 3)."""
     words = [free_reduce(c) for c in all_words(4)]
