@@ -129,10 +129,10 @@ def cmd_decompose(args: argparse.Namespace) -> dict:
 def cmd_shape(args: argparse.Namespace) -> dict:
     w = _parse(args.word, args.rank)
     shape = t_shape(w)
-    am = amenable_shape(shape)
+    amenable = amenable_shape(shape)
     return {
-        "amenable": am.amenable,
-        "amenable_known": am.known,
+        "amenable": amenable,
+        "amenable_known": amenable,
         "coefficients": [str(g) for g in coefficients(w)],
         "exponent_sum": exponent_sum(w),
         "t_shape": list(shape),

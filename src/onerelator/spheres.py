@@ -692,12 +692,15 @@ def complex_from_dict(data: dict) -> SphereComplex:
         dist = data.get("distinguished") or {}
         if dist:
             _require_fields(dist, {"e_infinity", "v0"}, "distinguished")
+        e_infinity, v0 = dist.get("e_infinity"), dist.get("v0")
+        if not all(x is None or isinstance(x, str) for x in (e_infinity, v0)):
+            raise ComplexFormatError("distinguished ids must be strings or null")
         k = SphereComplex(
             vertices=vertices,
             edges=tuple(edges),
             faces=tuple(faces),
-            e_infinity=dist.get("e_infinity"),
-            v0=dist.get("v0"),
+            e_infinity=e_infinity,
+            v0=v0,
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ComplexFormatError(f"malformed complex document: {exc}") from exc
@@ -728,10 +731,10 @@ def complex_to_dict(k: SphereComplex) -> dict:
 
 
 def load_complex(path: str) -> SphereComplex:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ComplexFormatError(f"bad JSON: {exc}") from exc
     return complex_from_dict(data)
 

@@ -77,35 +77,25 @@ def collapse_isomorphism(w: Word) -> Collapse:
 
 @dataclass(frozen=True)
 class SurjectivityVerdict:
-    status: str  # Surjective | NotSurjective | Undetermined
-    reason: str  # GtCollapse | ExponentSum | MainTheorem | QuotientCertificate
+    status: str  # Surjective | NotSurjective
+    reason: str  # GtCollapse | ExponentSum | MainTheorem
     evidence: dict
 
 
-@dataclass(frozen=True)
-class AmenabilityResult:
-    amenable: bool
-    known: bool
-
-
-def amenable_shape(shape: tuple[int, ...]) -> AmenabilityResult:
+def amenable_shape(shape: tuple[int, ...]) -> bool:
     """Membership in the known amenable t-shape families.
 
     The families are the single-letter shapes (+1) and (-1), and the
-    alternating family (-1, +1, ..., -1, +1, +1).  Other shapes are reported
-    as not known.
+    alternating family (-1, +1, ..., -1, +1, +1).  Other shapes are not
+    known to be amenable.
     """
     shape = tuple(shape)
-    if shape in ((1,), (-1,)):
-        return AmenabilityResult(amenable=True, known=True)
-    if (
+    return shape in ((1,), (-1,)) or (
         len(shape) >= 3
         and len(shape) % 2 == 1
         and shape[-1] == 1
         and all(q == (-1 if i % 2 == 0 else 1) for i, q in enumerate(shape[:-1]))
-    ):
-        return AmenabilityResult(amenable=True, known=True)
-    return AmenabilityResult(amenable=False, known=False)
+    )
 
 
 def analyze(w: Word, rank: int) -> SurjectivityVerdict:
@@ -359,21 +349,6 @@ class QuotientCertificate:
     witness: str
 
 
-def _t_solver(relators: Sequence[Word]) -> Optional[tuple[Word, int]]:
-    """``(B*A, epsilon)`` for the first relator ``A t^epsilon B`` with one t.
-
-    Such a relator is the identity exactly when the image of t^epsilon is
-    the inverse of the image of ``B*A``, so t's image is forced.
-    """
-    for r in relators:
-        spots = [i for i, (sym, _) in enumerate(r.letters) if sym == STABLE]
-        if len(spots) == 1:
-            i = spots[0]
-            # B*A is a rotation of the cyclically reduced r minus its t
-            return Word(r.letters[i + 1:] + r.letters[:i]), r.letters[i][1]
-    return None
-
-
 def _quotients(pres: Presentation, max_degree: int):
     """Permutation quotients of degree 1 to ``max_degree``, in deterministic
     order; a ``max_degree`` outside 1..8 raises ``ValueError`` at the call.
@@ -386,17 +361,17 @@ def _quotients(pres: Presentation, max_degree: int):
     with t innermost.  Without base generators each degree has one base
     assignment, the empty one.
 
-    When some relator ``A t^epsilon B`` has exactly one t, t's image is
-    solved rather than enumerated: the first such relator forces t^epsilon
-    to the inverse of the image of ``B*A``, so each base assignment has one
-    candidate, still checked against every relator.  A degree n then costs
+    When a relator is conjugate to g t^(+-1), t is not enumerated: its image
+    is that of the first such relator's ``collapse_isomorphism().t_image``,
+    still checked against every relator.  A degree n then costs
     p(n) * (n!)^(rank-1) base assignments, p(n) the number of partitions of
-    n; without such a relator every one of them tries all n! images of t.
+    n; without such a relator each one tries all n! images of t.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError(f"max_degree must be from 1 to 8, got {max_degree}")
     gens = list(pres.generators)
-    solver = _t_solver(pres.relators)
+    gt = [r for r in pres.relators if is_conjugate_to_gt(r) is not None]
+    t_word = collapse_isomorphism(gt[0]).t_image if gt else None
 
     def quotients():
         for degree in range(1, max_degree + 1):
@@ -405,12 +380,10 @@ def _quotients(pres: Presentation, max_degree: int):
             for first in _class_representatives(degree) if gens else [None]:
                 for tail in product(all_perms, repeat=len(gens[1:])):
                     base = dict(zip(gens, (first, *tail)))
-                    if solver is None:
-                        t_candidates = all_perms
-                    else:
-                        ba, eps = solver
-                        forced = _word_image(ba, base, degree)
-                        t_candidates = (_inverse_perm(forced) if eps > 0 else forced,)
+                    t_candidates = (
+                        all_perms if t_word is None
+                        else (_word_image(t_word, base, degree),)
+                    )
                     for t_image in t_candidates:
                         images = {**base, STABLE: t_image}
                         if all(
@@ -433,13 +406,12 @@ def quotient_certificate(
     that stops once it reaches t's image: only the certificate itself costs
     a whole subgroup.
 
-    A relator ``A t^epsilon B`` with exactly one t gives t^epsilon =
-    (B*A)^-1, the Tietze move that eliminates t, so t lies in G's image in
-    the extension and in every quotient of it.  No certificate exists at any
-    degree then, and None is returned without a search.
+    When a relator has the gt collapse that makes ``analyze`` answer
+    Surjective, t lies in G's image in every quotient, so None is returned
+    without a search.
     """
     quotients = _quotients(pres, max_degree)  # refuses degrees outside 1..8
-    if _t_solver(pres.relators) is not None:
+    if any(is_conjugate_to_gt(r) is not None for r in pres.relators):
         return None
     for n, images in quotients:
         if not _in_subgroup(images[STABLE], [images[g] for g in pres.generators]):

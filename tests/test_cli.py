@@ -303,6 +303,20 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_unreadable_complex_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(GOLDEN).read_text())
+    doc["distinguished"]["v0"] = ["v0"]
+    path = tmp_path / "bad.json"
+    for content in (
+        json.dumps(doc).encode(),  # an unhashable distinguished id
+        b'{"vertices": ["\xff"]}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+    ):
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "validate", "--complex", str(path))
+        assert code == 2 and out is None and err.startswith("error: ")
+
+
 def test_complex_label_with_t_exits_2(tmp_path, capsys):
     doc = json.loads(Path(GOLDEN).read_text())
     corner = next(

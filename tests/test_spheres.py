@@ -5,6 +5,7 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onerelator import (
     ComplexFormatError,
@@ -331,6 +332,13 @@ def test_bad_values_rejected():
     bad["distinguished"] = ["v0"]
     with pytest.raises(ComplexFormatError):
         complex_from_dict(bad)
+    # a distinguished id is a string or null
+    for field in ("e_infinity", "v0"):
+        for value in ([], ["v0"], {}, {"id": "v0"}, 7, True):
+            bad = copy.deepcopy(d)
+            bad["distinguished"][field] = value
+            with pytest.raises(ComplexFormatError):
+                complex_from_dict(bad)
     # corner labels must parse, and as words of the base group
     for label in ("s", "a^99999", "t", "aT"):
         bad = copy.deepcopy(d)
@@ -344,9 +352,48 @@ def test_bad_values_rejected():
 
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ComplexFormatError):
-        load_complex(str(path))
+    for content in (
+        b"{not json",
+        b'{"vertices": ["\xff"]}',  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+    ):
+        path.write_bytes(content)
+        with pytest.raises(ComplexFormatError):
+            load_complex(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@st.composite
+def one_field_replaced(draw):
+    """A valid document with one field, at a drawn path, set to a drawn value."""
+    doc = complex_to_dict(generate_random(0, 3))
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            break
+        node = child
+    node[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_field_replaced())
+def test_one_bad_field_is_a_format_error(doc):
+    try:
+        complex_from_dict(doc)
+    except ComplexFormatError:
+        pass
 
 
 def test_golden_file_matches_generator():

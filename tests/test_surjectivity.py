@@ -17,6 +17,7 @@ from onerelator import (
     cyclic_reduce,
     free_alphabet,
     free_reduce,
+    is_conjugate_to_gt,
     normal_closure_search,
     one_relator_presentation,
     order_evidence,
@@ -29,7 +30,6 @@ from onerelator import surjectivity
 from onerelator.surjectivity import (
     _perm_order,
     _quotients,
-    _t_solver,
     _word_image,
 )
 from conftest import AB, w
@@ -106,12 +106,10 @@ def test_analyze_rejects_identity():
 
 
 def test_amenable_shapes():
-    assert amenable_shape((1,)) == amenable_shape((-1,))
-    assert amenable_shape((1,)).amenable and amenable_shape((1,)).known
-    assert amenable_shape((-1, 1, 1)).amenable
-    assert amenable_shape((-1, 1, -1, 1, 1)).amenable
-    unknown = amenable_shape((1, 1))
-    assert not unknown.amenable and not unknown.known
+    assert amenable_shape((1,)) is amenable_shape((-1,)) is True
+    assert amenable_shape((-1, 1, 1)) is True
+    assert amenable_shape((-1, 1, -1, 1, 1)) is True
+    assert amenable_shape((1, 1)) is False
 
 
 # -- bounded normal-closure search -------------------------------------------
@@ -297,9 +295,18 @@ def test_single_t_relator_has_no_certificate_without_a_search(monkeypatch):
         raise AssertionError("a presentation with a single-t relator was searched")
 
     monkeypatch.setattr(surjectivity, "_in_subgroup", refuse)
-    for text in ("abAt", "aTbAB", "at"):
-        pres = one_relator_presentation(wab(text), 2)
-        assert quotient_certificate(pres, 5) is None
+    gt_words = [
+        word
+        for word in cyclically_reduced_words(["a", "b", STABLE], 5)
+        if is_conjugate_to_gt(word) is not None
+    ]
+    assert gt_words
+    for word in gt_words:
+        assert analyze(word, 2).reason == "GtCollapse"
+        assert quotient_certificate(one_relator_presentation(word, 2), 5) is None
+    # the gt relator need not come first
+    second = Presentation(generators=("a", "b"), relators=(wab("aa"), wab("abbT")))
+    assert quotient_certificate(second, 5) is None
     with pytest.raises(ValueError):
         quotient_certificate(one_relator_presentation(wab("abAt"), 2), 9)
 
@@ -337,14 +344,15 @@ def cyclically_reduced_words(symbols, max_len):
 
 
 def assert_quotients_match_reference(pres, degree):
-    """Same quotients, each once, and the same certificate; none with one t."""
+    """Same quotients, each once, and the same certificate; none with a gt
+    relator."""
     distinct = {}
     for n, images in reference._quotients(pres, degree):
         distinct.setdefault((n, tuple(sorted(images.items()))), (n, images))
     assert list(_quotients(pres, degree)) == list(distinct.values())
     cert = quotient_certificate(pres, degree)
     assert cert == reference.quotient_certificate(pres, degree)
-    if _t_solver(pres.relators) is not None:
+    if any(is_conjugate_to_gt(r) is not None for r in pres.relators):
         assert cert is None
 
 
@@ -376,27 +384,39 @@ def test_order_evidence_matches_reference():
             assert order_evidence(word, pres, 4) == expected
 
 
+def assert_t_forced(pres, t_word, degree):
+    """Every quotient sends t to the image of ``t_word``."""
+    quotients = list(_quotients(pres, degree))
+    assert quotients, "some quotient must be checked"
+    for n, images in quotients:
+        assert images[STABLE] == _word_image(t_word, images, n)
+
+
 def test_t_solved_from_the_first_relator_with_one_t():
     pres = Presentation(generators=("a", "b"), relators=(wab("atbt"), wab("abT")))
-    # abT = A t^-1 B with A = ab and B empty
-    assert _t_solver(pres.relators) == (wab("ab"), -1)
-    assert list(_quotients(pres, 3)), "some quotient must be checked"
+    # abT = g t^-1 with g = ab, so t -> ab
+    assert is_conjugate_to_gt(wab("atbt")) is None
+    assert is_conjugate_to_gt(wab("abT")) == (wab("ab"), -1)
+    assert_t_forced(pres, wab("ab"), 3)
     assert_quotients_match_reference(pres, 4)
     no_t_first = Presentation(generators=("a", "b"), relators=(wab("aa"), wab("abbT")))
-    assert _t_solver(no_t_first.relators) == (wab("abb"), -1)
+    assert is_conjugate_to_gt(wab("abbT")) == (wab("abb"), -1)
+    assert_t_forced(no_t_first, wab("abb"), 3)
     assert_quotients_match_reference(no_t_first, 4)
 
 
 def test_t_solved_from_t_inverse_and_bare_t():
-    # cyclic reduction rotates aTbAB to bABaT; B*A reads the same either way
+    # cyclic reduction rotates aTbAB to bABaT = g t^-1 with g = bABa
     once_inverse = one_relator_presentation(wab("aTbAB"), 2)
-    assert _t_solver(once_inverse.relators) == (wab("bABa"), -1)
+    assert once_inverse.relators == (wab("bABaT"),)
+    assert is_conjugate_to_gt(wab("bABaT")) == (wab("bABa"), -1)
+    assert_t_forced(once_inverse, wab("bABa"), 3)
     assert_quotients_match_reference(once_inverse, 4)
     bare = one_relator_presentation(w("t", free_alphabet(1)), 1)
-    assert _t_solver(bare.relators) == (Word(), 1)
+    assert is_conjugate_to_gt(bare.relators[0]) == (Word(), 1)
     assert_quotients_match_reference(bare, 5)
     # t is solved to the identity, so every quotient is one of <a> alone
-    assert all(images[STABLE] == tuple(range(n)) for n, images in _quotients(bare, 4))
+    assert_t_forced(bare, Word(), 4)
     no_generators = Presentation(generators=(), relators=(wab("t"),))
     assert_quotients_match_reference(no_generators, 3)
     # without base generators each degree has the one quotient t -> identity
@@ -405,7 +425,7 @@ def test_t_solved_from_t_inverse_and_bare_t():
 
 def test_t_enumerated_without_a_relator_with_one_t():
     pres = one_relator_presentation(wab("atbt"), 2)
-    assert _t_solver(pres.relators) is None
+    assert is_conjugate_to_gt(pres.relators[0]) is None
     assert_quotients_match_reference(pres, 4)
 
 
