@@ -17,6 +17,7 @@ from onerelator import (
     quotient_certificate,
     verify_certificate,
 )
+from onerelator.words import STABLE, substitute
 
 AB = free_alphabet(2)
 
@@ -26,8 +27,9 @@ for text, rank in (("att", 2), ("bat B", 2), ("atataT", 2)):
     print(f"{str(w):8s} -> {v.status:13s} ({v.reason})")
 
 # the surjective case comes with an explicit inverse isomorphism
-c = collapse_isomorphism(parse_word("bat B", AB))
-print(f"\ncollapse: t |-> {c.t_image}, verified={c.verified}")
+w = parse_word("bat B", AB)
+c = collapse_isomorphism(w)
+print(f"\ncollapse: t |-> {c.t_image}, w becomes {substitute(w, STABLE, c.t_image)!r}")
 
 # cross-check 1: no bounded product of conjugates of the relator has
 # t-shape (+1), as non-surjectivity predicts

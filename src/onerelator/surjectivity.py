@@ -24,7 +24,6 @@ from .words import (
     letter_key,
     substitute,
     t_shape,
-    word_key,
 )
 
 
@@ -59,7 +58,6 @@ class Collapse:
     g: Word
     epsilon: int
     t_image: Word
-    verified: bool
 
 
 def collapse_isomorphism(w: Word) -> Collapse:
@@ -69,10 +67,9 @@ def collapse_isomorphism(w: Word) -> Collapse:
         raise ValueError("word is not conjugate to a gt-form")
     g, eps = gt
     t_image = g ** (-eps)
-    verified = substitute(w, STABLE, t_image).is_identity()
-    if not verified:
+    if not substitute(w, STABLE, t_image).is_identity():
         raise AssertionError("collapse substitution failed to kill the relator")
-    return Collapse(g=g, epsilon=eps, t_image=t_image, verified=True)
+    return Collapse(g=g, epsilon=eps, t_image=t_image)
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,9 @@ class SearchHit:
 
 
 def _reduced_words(symbols: Sequence[str], max_len: int) -> list[Word]:
-    """All freely reduced words of length <= max_len, in (length, lex) order."""
+    """All freely reduced words of length <= max_len, by length, then
+    ``word_key``: each length extends the sorted words one shorter by
+    letters in ``letter_key`` order, so it comes out sorted."""
     letters = sorted(
         [(s, 1) for s in symbols] + [(s, -1) for s in symbols], key=letter_key
     )
@@ -156,7 +155,6 @@ def _reduced_words(symbols: Sequence[str], max_len: int) -> list[Word]:
                 if wl and wl[-1] == (l[0], -l[1]):
                     continue
                 nxt.append(wl + (l,))
-        nxt.sort(key=word_key)
         out.extend(Word(wl) for wl in nxt)
         frontier = nxt
     return out

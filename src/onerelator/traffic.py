@@ -76,7 +76,7 @@ class FlowSchedule:
             raise ScheduleError(f"time {t} outside the schedule range")
         for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
             if t <= t1:
-                return laps + p0 + (p1 - p0) * (t - t0) / (t1 - t0)
+                return laps + _at((t0, t1, p0, p1), t)
         raise AssertionError
 
 
@@ -136,54 +136,59 @@ def uniform_schedule(face: Face, start: Q = Q(0)) -> FlowSchedule:
 # -- piecewise-linear plumbing ----------------------------------------------
 
 
-_Piece = tuple[Q, Q, Q, Q]  # (t0, t1, p0, p1), or (t0, t1, a0, a1) on an outer edge
+# (t0, t1, x0, x1): x runs linearly from x0 at t0 to x1 at t1, where x is an
+# unwrapped position, a tail-based edge coordinate or an outer coordinate
+_Piece = tuple[Q, Q, Q, Q]
+
+
+def _at(piece: _Piece, t: Q) -> Q:
+    """The value at t on the line from (t0, x0) to (t1, x1)."""
+    t0, t1, x0, x1 = piece
+    return x0 + (x1 - x0) * (t - t0) / (t1 - t0)
+
+
+def _clip(points: list[tuple[Q, Q]], t_end: Q) -> list[tuple[Q, Q]]:
+    """The (time, value) points up to t_end, the segment that crosses t_end
+    cut there.  The first point must lie at or before t_end."""
+    out: list[tuple[Q, Q]] = []
+    for t, x in points:
+        if t > t_end:
+            t0, x0 = out[-1]
+            if t0 < t_end:
+                out.append((t_end, _at((t0, t, x0, x), t_end)))
+            break
+        out.append((t, x))
+    return out
 
 
 def _pieces(s: FlowSchedule, t_end: Q) -> list[_Piece]:
-    """Linear (t0, t1, p0, p1) pieces covering [0, t_end], clipped, with
-    each moving piece within one unit span.
+    """Linear (t0, t1, p0, p1) pieces covering [0, t_end] for t_end > 0,
+    clipped, with each moving piece within one unit span.
 
     A moving segment is cut where it crosses an integer n, so the position
     at each interior cut is exactly n; only the cut times are computed.
     """
+    points = list(s.breakpoints)
     if s.period is None:
-        if s.breakpoints[-1][0] < t_end:
+        if points[-1][0] < t_end:
             raise ScheduleError("finite schedule does not cover the horizon")
-        shifts = [0]
     else:
-        shifts = range(_floor(t_end / s.period) + 1)
+        points += [
+            (t + k * s.period, p + k * s.circuit)
+            for k in range(1, ceil(t_end / s.period))
+            for t, p in s.breakpoints[1:]
+        ]
+    points = _clip(points, t_end)
     out: list[_Piece] = []
-    for k in shifts:
-        dt = k * (s.period or 0)
-        dp = k * s.circuit
-        for (t0, p0), (t1, p1) in zip(s.breakpoints, s.breakpoints[1:]):
-            a, b = t0 + dt, t1 + dt
-            if a >= t_end:
-                break
-            pa, pb = p0 + dp, p1 + dp
-            if b > t_end:
-                pb = pa + (pb - pa) * (t_end - a) / (b - a)
-                b = t_end
-            if pa == pb:
-                out.append((a, b, pa, pb))
-                continue
-            slope = (b - a) / (pb - pa)
-            marks = [pa] + [Q(n) for n in range(_floor(pa) + 1, ceil(pb))] + [pb]
-            cuts = [a] + [a + (n - pa) * slope for n in marks[1:-1]] + [b]
-            out.extend(zip(cuts, cuts[1:], marks, marks[1:]))
+    for (a, pa), (b, pb) in zip(points, points[1:]):
+        if pa == pb:
+            out.append((a, b, pa, pb))
+            continue
+        slope = (b - a) / (pb - pa)
+        marks = [pa] + [Q(n) for n in range(_floor(pa) + 1, ceil(pb))] + [pb]
+        cuts = [a] + [a + (n - pa) * slope for n in marks[1:-1]] + [b]
+        out.extend(zip(cuts, cuts[1:], marks, marks[1:]))
     return out
-
-
-@dataclass(frozen=True)
-class _EdgeStay:
-    t0: Q
-    t1: Q
-    c0: Q  # tail-based edge coordinate at t0
-    c1: Q
-    slope: Q  # (c1 - c0) / (t1 - t0)
-
-    def coord(self, t: Q) -> Q:
-        return self.c0 + self.slope * (t - self.t0)
 
 
 def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
@@ -198,16 +203,17 @@ def _merge_intervals(spans: list[tuple[Q, Q]]) -> list[tuple[Q, Q]]:
 
 
 _Slot = tuple[str, int]  # (face id, boundary step or corner index)
-_EdgeMap = dict[_Slot, list[_EdgeStay]]
+_EdgeMap = dict[_Slot, list[_Piece]]
 _CornerMap = dict[_Slot, list[tuple[Q, Q]]]
 
 
 def _occupancy(
     k: SphereComplex, schedules: Mapping[str, FlowSchedule], t_end: Q
 ) -> tuple[_EdgeMap, _CornerMap]:
-    """Where the cars of ``schedules`` are over [0, t_end]: edge stays per
-    side (face, boundary step), in time order, and merged occupancy
-    intervals (possibly instants) per slot (face, corner index)."""
+    """Where the cars of ``schedules`` are over [0, t_end]: edge stays in
+    tail-based coordinates per side (face, boundary step), in time order,
+    and merged occupancy intervals (possibly instants) per slot (face,
+    corner index)."""
     edges: _EdgeMap = {}
     corners: _CornerMap = {}
     for fid, s in schedules.items():
@@ -225,15 +231,14 @@ def _occupancy(
             step = j % n
             f0, f1 = p0 - j, p1 - j
             c0, c1 = (f0, f1) if face.boundary[step][1] > 0 else (1 - f0, 1 - f1)
-            stay = _EdgeStay(t0, t1, c0, c1, (c1 - c0) / (t1 - t0))
-            edges.setdefault((fid, step), []).append(stay)
+            edges.setdefault((fid, step), []).append((t0, t1, c0, c1))
     for key, spans in corners.items():
         corners[key] = _merge_intervals(spans)
     return edges, corners
 
 
 def _edge_meetings(
-    side1: list[_EdgeStay], side2: list[_EdgeStay]
+    side1: list[_Piece], side2: list[_Piece]
 ) -> Iterator[tuple[Q, Q]]:
     """(time, tail-based coordinate) of each meeting inside an edge between
     the stays of two of its sides.
@@ -244,24 +249,24 @@ def _edge_meetings(
     """
     start = 0
     for x in side1:
-        while start < len(side2) and side2[start].t1 < x.t0:
+        while start < len(side2) and side2[start][1] < x[0]:
             start += 1
         for j in range(start, len(side2)):
             y = side2[j]
-            if y.t0 > x.t1:
+            if y[0] > x[1]:
                 break
-            lo, hi = max(x.t0, y.t0), min(x.t1, y.t1)
-            f_lo = x.coord(lo) - y.coord(lo)
-            f_hi = x.coord(hi) - y.coord(hi)
+            lo, hi = max(x[0], y[0]), min(x[1], y[1])
+            f_lo = _at(x, lo) - _at(y, lo)
+            f_hi = _at(x, hi) - _at(y, hi)
             if f_lo == 0 and f_hi == 0:
                 t_star = lo
             elif f_lo == f_hi:
                 continue
             elif f_lo * f_hi <= 0:
-                t_star = lo + (hi - lo) * (-f_lo) / (f_hi - f_lo)
+                t_star = _at((f_lo, f_hi, lo, hi), 0)  # the time of f = 0
             else:
                 continue
-            c = x.coord(t_star)
+            c = _at(x, t_star)
             if 0 < c < 1:
                 yield t_star, c
 
@@ -457,25 +462,25 @@ def _crossing(transit: list[_Piece], target: Q) -> Optional[Q]:
         if a1 <= target <= a0:
             if a0 == a1:
                 return t0
-            return t0 + (t1 - t0) * (a0 - target) / (a0 - a1)
+            return _at((a0, a1, t0, t1), target)  # the time at a = target
     return None
 
 
 def _outer_transits(
-    k: SphereComplex, step: int, stays: list[_EdgeStay]
+    k: SphereComplex, step: int, stays: list[_Piece]
 ) -> list[list[_Piece]]:
     """Passes over outer step ``step`` by the car whose time-ordered stays
     on that edge are ``stays``: runs of touching stays, in outer
     coordinates."""
     d_inf = k.face_map[k.e_infinity].boundary[step][1]
     transits: list[list[_Piece]] = []
-    for st in stays:
-        c0, c1 = (st.c0, st.c1) if d_inf > 0 else (1 - st.c0, 1 - st.c1)
+    for t0, t1, c0, c1 in stays:
+        c0, c1 = (c0, c1) if d_inf > 0 else (1 - c0, 1 - c1)
         if c1 > c0:
             raise ScheduleError("opposing car must descend in outer coordinates")
-        if not transits or st.t0 > transits[-1][-1][1]:
+        if not transits or t0 > transits[-1][-1][1]:
             transits.append([])
-        transits[-1].append((st.t0, st.t1, step + c0, step + c1))
+        transits[-1].append((t0, t1, step + c0, step + c1))
     return transits
 
 
@@ -547,16 +552,7 @@ def _plan_outer_car(
 
     if bps[-1][0] < horizon:
         bps.append((horizon, bps[-1][1]))
-    # truncate at the horizon
-    out: list[tuple[Q, Q]] = []
-    for t, p in bps:
-        if t > horizon:
-            t0, p0 = out[-1]
-            if t0 < horizon:
-                out.append((horizon, p0 + (p - p0) * (horizon - t0) / (t - t0)))
-            break
-        out.append((t, p))
-    return out
+    return _clip(bps, horizon)
 
 
 def _outer_car(
@@ -564,6 +560,8 @@ def _outer_car(
 ) -> FlowSchedule:
     """Outer-car plan over [0, horizon]: cross the car on side ``opp`` at
     omega, and go round when none of ``cars`` is on the outer boundary."""
+    if horizon <= 0:
+        raise ScheduleError("horizon must be positive")
     inf_face = k.face_map[k.e_infinity]
     outer_vertices = dict.fromkeys(map(k.step_start, inf_face.boundary))
     # only cars with a corner on the outer boundary can touch it
@@ -576,7 +574,7 @@ def _outer_car(
     busy: list[tuple[Q, Q]] = []
     for eid in dict.fromkeys(e for e, _ in inf_face.boundary):
         for side in k.incidences.sides[eid]:
-            busy.extend((st.t0, st.t1) for st in edges.get(side, ()))
+            busy.extend((t0, t1) for t0, t1, _, _ in edges.get(side, ()))
     for vid in outer_vertices:
         for slot in k.incidences.slots[vid]:
             busy.extend(corners.get(slot, ()))

@@ -42,6 +42,7 @@ from onerelator import (
 from conftest import IDENT, bigon_pencil, mirrored_pair, triangle_pair
 
 from onerelator import read_face_word
+from onerelator.words import substitute
 
 AB = free_alphabet(2)
 SYMS = sorted(AB) + [STABLE]
@@ -260,7 +261,8 @@ def test_criterion_4_collapse_on_random_conjugates():
             verdict = analyze(word, 2)
             assert (verdict.status, verdict.reason) == ("Surjective", "GtCollapse")
             c = collapse_isomorphism(word)
-            assert c.verified and c.epsilon == eps
+            assert c.epsilon == eps
+            assert substitute(word, STABLE, c.t_image).is_identity()
             passed += 1
         assert passed == 100
     except AssertionError:

@@ -30,8 +30,10 @@ from onerelator import surjectivity
 from onerelator.surjectivity import (
     _perm_order,
     _quotients,
+    _reduced_words,
     _word_image,
 )
+from onerelator.words import substitute, word_key
 from conftest import AB, w
 import surjectivity_reference as reference
 
@@ -57,7 +59,7 @@ def test_presentation_validation():
 def test_collapse_examples():
     c = collapse_isomorphism(wab("at"))
     assert (c.g, c.epsilon, c.t_image) == (wab("a"), 1, wab("A"))
-    assert c.verified
+    assert substitute(wab("at"), STABLE, c.t_image).is_identity()
     c2 = collapse_isomorphism(wab("abTA"))
     assert (c2.g, c2.epsilon, c2.t_image) == (wab("b"), -1, wab("b"))
     with pytest.raises(ValueError):
@@ -74,7 +76,8 @@ def test_collapse_random_conjugates():
         eps = rng.choice([1, -1])
         word = u * g * Word(((STABLE, eps),)) * u.inverse()
         c = collapse_isomorphism(word)
-        assert c.verified and c.epsilon == eps
+        assert c.epsilon == eps
+        assert substitute(word, STABLE, c.t_image).is_identity()
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -157,6 +160,21 @@ def test_search_trivial_relator():
     hit = normal_closure_search(Word(), (), 1, 1, alphabet=AB)
     assert hit is not None and hit.element == Word()
     assert normal_closure_search(Word(), (1,), 1, 2, alphabet=AB) is None
+
+
+def test_conjugators_by_length_then_word_key():
+    """The closure search's conjugators are every reduced word, sorted by
+    length, then ``word_key``."""
+    symbols = ["a", "b", STABLE]
+    pool = [(s, e) for s in symbols for e in (1, -1)]
+    every = [
+        combo
+        for n in range(6)
+        for combo in itertools.product(pool, repeat=n)
+        if len(free_reduce(combo)) == n
+    ]
+    expected = sorted(every, key=lambda u: (len(u), word_key(u)))
+    assert [u.letters for u in _reduced_words(symbols, 5)] == expected
 
 
 def test_search_bound_validation():

@@ -27,7 +27,7 @@ from onerelator import (
     verify_at_least_two_crashes,
 )
 from onerelator.spheres import SphereComplex
-from onerelator.traffic import _free_window, _merge_intervals, common_period
+from onerelator.traffic import _free_window, _merge_intervals, _pieces, common_period
 from conftest import (
     IDENT,
     bigon_pencil,
@@ -37,6 +37,7 @@ from conftest import (
     triangle_pair,
     uphill_two_edge,
 )
+from traffic_reference import _pieces as reference_pieces
 from traffic_reference import free_window as reference_free_window
 from traffic_reference import simulate as reference_simulate
 
@@ -342,6 +343,51 @@ def test_folded_start_is_not_repeated():
     assert at_u == [Q(0), Q(3), Q(7)]
 
 
+def _pieces_or_error(pieces, s, horizon):
+    try:
+        return pieces(s, horizon)
+    except ScheduleError as exc:
+        return str(exc)
+
+
+def test_pieces_match_reference():
+    """The pieces of the unrolled, clipped breakpoints equal the reference's
+    segments, clipped one period at a time and refined: for uniform cars
+    on random complexes, a stop-and-go car and a finite schedule, at
+    horizons on a breakpoint, on a multiple of the period, inside a segment
+    and past the end of the finite schedule, which both refuse."""
+    stop_and_go = schedule(
+        "f", (0, Q(1, 2)), (1, Q(1, 2)), (Q(5, 2), 2), (4, 2), (5, Q(7, 2))
+    )
+    finite = FlowSchedule(
+        "f", 3, ((Q(0), Q(0)), (Q(2), Q(1)), (Q(3), Q(1)), (Q(7), Q(5)))
+    )
+    cases = [stop_and_go, finite]
+    for seed in range(30):
+        rng = random.Random(seed)
+        k = generate_random(seed, seed % 8 + 1)
+        cases += [
+            uniform_schedule(f, Q(rng.randrange(4 * len(f.boundary)), 4))
+            for f in k.faces
+        ]
+    outcomes = set()
+    for s in cases:
+        span = s.period or s.breakpoints[-1][0]
+        bps = s.breakpoints
+        times = [t for t, _ in bps[1:]]
+        middles = [(a + b) / 2 for (a, _), (b, _) in zip(bps, bps[1:])]
+        horizons = {
+            lap * span + t
+            for lap in range(3)
+            for t in times + middles + [Q(1, 3)]
+        }
+        for horizon in sorted(horizons):
+            got = _pieces_or_error(_pieces, s, horizon)
+            assert got == _pieces_or_error(reference_pieces, s, horizon), horizon
+            outcomes.add(type(got))
+    assert outcomes == {list, str}  # the finite schedule was refused past its end
+
+
 def _window_or_error(find, busy, a, b):
     try:
         return find(busy, a, b)
@@ -517,6 +563,9 @@ def test_adversarial_preconditions():
         wrong = FlowSchedule("f0", circuit, bps, period=Q(circuit))
         with pytest.raises(ScheduleError, match="circuit mismatch on face f0"):
             adversarial_schedule(k, wrong, Q(1, 3), Q(10))
+    for horizon in (Q(0), Q(-1)):
+        with pytest.raises(ScheduleError, match="horizon must be positive"):
+            adversarial_schedule(k, b, Q(1, 3), horizon)
 
 
 # -- coherently oriented outer boundaries -------------------------------------
@@ -551,6 +600,9 @@ def test_uphill_guards():
         uphill_schedule(k, Q(1), Q(10))  # omega at a vertex
     with pytest.raises(ScheduleError):
         uphill_schedule(k, Q(5, 2), Q(10))  # outside the outer boundary
+    for horizon in (Q(0), Q(-1)):
+        with pytest.raises(ScheduleError, match="horizon must be positive"):
+            uphill_schedule(k, Q(1, 2), horizon)
     # an inner face lying entirely on the outer boundary leaves no window
     outer = Face(
         "A", (("E0", 1), ("E1", 1)), (("v0", None), ("x", IDENT)), type="infinity"
