@@ -20,6 +20,7 @@ from .words import (
     RESERVED,
     STABLE,
     Word,
+    assemble,
     free_reduce,
     least_rotation,
     parse_word,
@@ -109,12 +110,11 @@ class RelatorSet:
     h_pairs: tuple[tuple[Word, Word], ...] = ()  # (h, image of h under phi)
 
     def words(self) -> tuple[Word, ...]:
-        out = [self.w0]
-        for h, h_phi in self.h_pairs:
-            raw = [(STABLE, -1)] + list(h.letters) + [(STABLE, 1)]
-            raw += [(s, -e) for s, e in reversed(h_phi.letters)]
-            out.append(free_reduce(raw))
-        return tuple(out)
+        # t^-1 h t (h^phi)^-1 for each H-relator
+        return (self.w0,) + tuple(
+            assemble((Word(), h, h_phi.inverse()), (-1, 1))
+            for h, h_phi in self.h_pairs
+        )
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .words import (
     AUX,
     Letter,
     Word,
+    blocks,
     exponent_sum,
     free_reduce,
     cyclic_reduce,
@@ -75,19 +76,13 @@ def kernel_canonical_form(w: Word) -> KernelForm:
     """
     if exponent_sum(w) != 0:
         raise NonzeroExponentSum(f"exponent sum is {exponent_sum(w)}, not 0")
-    factors: list[tuple[Word, int]] = []
+    head, blks = blocks(w)
+    factors = [] if head.is_identity() else [(head, 0)]
     depth = 0
-    run: list[Letter] = []
-    for sym, sign in w.letters:
-        if sym == STABLE:
-            if run:
-                factors.append((Word(tuple(run)), -depth))
-                run = []
-            depth += sign
-        else:
-            run.append((sym, sign))
-    if run:
-        factors.append((Word(tuple(run)), -depth))
+    for q, g in blks:
+        depth += q
+        if not g.is_identity():
+            factors.append((g, -depth))
     return KernelForm(tuple(factors))
 
 

@@ -534,8 +534,6 @@ def _plan_outer_car(
         tau = _crossing(tr, omega)
         if tau is None:
             continue
-        if bps[-1][0] >= tau:
-            break
         if tr[0][0] > bps[-1][0]:
             bps.append((tr[0][0], bps[-1][1]))  # wait just below omega
         bps.append((tau, lap + omega))

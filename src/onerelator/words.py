@@ -16,6 +16,9 @@ RESERVED = frozenset({STABLE, AUX})
 #: largest exponent magnitude ``parse_word`` accepts; each power is expanded
 #: into that many letters
 MAX_EXPONENT = 10_000
+#: largest number of letters ``parse_word`` expands a word into, before
+#: free reduction
+MAX_LETTERS = 100_000
 
 #: a signed letter: (generator symbol, +1 or -1)
 Letter = tuple[str, int]
@@ -133,7 +136,8 @@ def parse_word(text: str, alphabet: Iterable[str]) -> Word:
     """Parse the surface syntax: letters, uppercase inverses, optional ``^k``.
 
     Raises :class:`WordSyntaxError` with the offending position, also for an
-    exponent above ``MAX_EXPONENT`` in magnitude, or ``ValueError`` for
+    exponent above ``MAX_EXPONENT`` in magnitude or a power that takes the
+    expanded word past ``MAX_LETTERS`` letters, or ``ValueError`` for
     generators outside ``alphabet``.
     """
     alpha = frozenset(alphabet)
@@ -150,6 +154,7 @@ def parse_word(text: str, alphabet: Iterable[str]) -> Word:
             raise WordSyntaxError(f"unexpected character {ch!r}", i)
         if sym not in known:
             raise WordSyntaxError(f"unknown generator {sym!r}", i)
+        start = i
         i += 1
         count = 1
         if i < n and text[i] == "^":
@@ -172,6 +177,8 @@ def parse_word(text: str, alphabet: Iterable[str]) -> Word:
             i = k
         if count < 0:
             sign, count = -sign, -count
+        if len(raw) + count > MAX_LETTERS:
+            raise WordSyntaxError(f"word longer than {MAX_LETTERS} letters", start)
         raw.extend([(sym, sign)] * count)
     return free_reduce(raw)
 
@@ -197,9 +204,10 @@ def blocks(w: Word) -> tuple[Word, tuple[tuple[int, Word], ...]]:
     cur = head
     exps: list[int] = []
     coeffs: list[list[Letter]] = []
-    for sym, sign in w.letters:
+    for letter in w.letters:
+        sym, sign = letter
         if sym != STABLE:
-            cur.append((sym, sign))
+            cur.append(letter)
         elif exps and not cur:
             # adjacent t-letters of a reduced word share a sign
             exps[-1] += sign
@@ -292,10 +300,8 @@ def conjugacy_canonical(w: Word) -> Word:
 
 def is_conjugate_to_gt(w: Word) -> Optional[tuple[Word, int]]:
     """If ``w`` is conjugate to g t^e with e = +-1, return (g, e); else None."""
-    reduced, _ = cyclic_reduce(w)
-    shape = t_shape(reduced)
-    if shape not in ((1,), (-1,)):
+    # a cyclic reduction with one t-letter ends in it: g t^e, last coefficient 1
+    head, blks = blocks(cyclic_reduce(w)[0])
+    if len(blks) != 1 or abs(blks[0][0]) != 1:
         return None
-    # cyclically reduced with shape (+-1): a base run followed by one t-letter
-    g = Word(reduced.letters[:-1])
-    return g, reduced.letters[-1][1]
+    return head, blks[0][0]

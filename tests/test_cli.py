@@ -11,6 +11,7 @@ import pytest
 
 from onerelator import Word, free_alphabet, parse_word, strata
 from onerelator.cli import MAX_HORIZON_PERIODS, main
+from onerelator.words import MAX_LETTERS
 import surjectivity_reference as reference
 
 GOLDEN = "tests/data/random_seed0_size3.json"
@@ -274,6 +275,9 @@ def test_certificate_recheck_survives_optimize():
 def test_bad_word_exits_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "--word", "ax")
     assert code == 2 and out is None and "error" in err
+    # 1,400 characters whose powers expand to 2,000,000 letters
+    code, out, err = run_cli(capsys, "analyze", "--word", "a^10000b^10000" * 100)
+    assert code == 2 and out is None and f"longer than {MAX_LETTERS} letters" in err
 
 
 def test_bad_rank_word_exits_2(capsys):
@@ -301,6 +305,13 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"vertices": []}))
     code, _, _ = run_cli(capsys, "validate", "--complex", str(path))
     assert code == 2
+    # loads, but without a face it is no sphere, so there is nothing to simulate
+    doc = json.loads(Path(GOLDEN).read_text())
+    doc["faces"].pop()
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--complex", str(path))
+    assert code == 2 and out is None
+    assert "complex is not a valid sphere subdivision" in err
 
 
 def test_unreadable_complex_exits_2(tmp_path, capsys):
@@ -371,11 +382,13 @@ def test_horizon_cap(capsys):
         ("simulate", "--complex", GOLDEN, "--horizon", "-5"),
         ("search-kernel", "--word", "at", "--target-shape", "0"),
         ("search-kernel", "--word", "at", "--target-shape", "1,0"),
+        ("search-kernel", "--word", "at", "--target-shape", "1", "--conj-len", "0"),
+        ("search-kernel", "--word", "at", "--target-shape", "1", "--products", "0"),
     ],
 )
 def test_vacuous_input_exits_2(capsys, argv):
-    """The identity relator, a horizon that simulates nothing and a t-shape
-    with a zero entry are refused as invalid input."""
+    """The identity relator, a horizon that simulates nothing, a t-shape
+    with a zero entry and an empty search are refused as invalid input."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out is None and err.startswith("error: ")
 

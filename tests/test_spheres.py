@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,13 +57,26 @@ def test_tetrahedron_missing_face_fails():
 
 
 def test_unknown_ids_rejected():
-    with pytest.raises(ComplexFormatError):
-        validate_sphere(
-            SphereComplex(("v",), (("e", "v", "missing"),), ())
-        )
-    f = Face("f", (("nope", 1),), (("v", None),))
-    with pytest.raises(ComplexFormatError):
-        validate_sphere(SphereComplex(("v",), (), (f,)))
+    loop = (("e", "v", "v"),)
+
+    def one_face(boundary, corners):
+        return SphereComplex(("v",), loop, (Face("f", boundary, corners),))
+
+    f = Face("f", (("e", 1),), (("v", None),))
+    cases = [
+        (SphereComplex(("v",), (("e", "v", "missing"),), ()), "edge e references unknown vertex"),
+        (one_face((("nope", 1),), (("v", None),)), "face f references unknown edge nope"),
+        (SphereComplex(("v", "v"), (), ()), "duplicate vertex ids"),
+        (SphereComplex(("v",), loop * 2, ()), "duplicate edge ids"),
+        (SphereComplex(("v",), loop, (f, f)), "duplicate face ids"),
+        (one_face((), ()), "face f: empty boundary"),
+        (one_face((("e", 2),), (("v", None),)), "face f: bad direction 2"),
+        (one_face((("e", 1),), (("w", None),)), "face f references unknown vertex w"),
+        (replace(bigon_sphere(), v0="w"), "unknown distinguished vertex"),
+    ]
+    for k, message in cases:
+        with pytest.raises(ComplexFormatError, match=message):
+            validate_sphere(k)
 
 
 def test_edge_pairing_violation_detected():
@@ -75,6 +89,15 @@ def test_edge_pairing_violation_detected():
     assert not rep.links and not rep.passed
     with pytest.raises(ValueError, match="edge-end slots do not match up"):
         read_vertex_word(k, "u")
+
+
+def test_corner_off_its_vertex_detected():
+    """f1's corners are swapped, so each sits at the wrong end of its edges."""
+    k = bigon_sphere()
+    f1 = replace(k.faces[0], corners=tuple(reversed(k.faces[0].corners)))
+    rep = validate_sphere(replace(k, faces=(f1, k.faces[1])))
+    assert rep.edge_pairing and not rep.links and not rep.passed
+    assert "face f1: corner 0 off its boundary vertex" in rep.problems
 
 
 def test_random_complexes_valid():
@@ -200,6 +223,8 @@ def test_unlabelled_face_word_errors():
     k = tetrahedron(labelled=False)
     with pytest.raises(ValueError):
         read_face_word(k, "f1")
+    with pytest.raises(ValueError, match="the outer face has no boundary word"):
+        read_face_word(uphill_two_edge(), "A")
 
 
 # -- detectors ---------------------------------------------------------------
@@ -256,7 +281,14 @@ def test_csl_face_words_checked_under_e():
     k = triangle_pair(front=("a", "b", "c"), back=("a", "b", "c"))
     rep = check_csl(k, relators_for("taTbTc"))
     # the back face reads a different word, so (e) must fail
-    assert not rep.items["e"][0] or rep.items["e"][0] is True
+    assert rep.items["e"] == (False, "face G reads tatbTc")
+
+
+def test_csl_requires_valid_sphere():
+    k = tetrahedron(labelled=True)
+    broken = SphereComplex(k.vertices, k.edges, k.faces[:-1])
+    with pytest.raises(ValueError, match="not a valid sphere subdivision"):
+        check_csl(broken, relators_for("at"))
 
 
 def test_csl_edge_exponent_balance():

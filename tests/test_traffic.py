@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -71,6 +72,9 @@ def test_schedule_validation():
     for circuit, period in ((0, None), (0, Q(1)), (-2, None)):
         with pytest.raises(ScheduleError, match="circuit must be positive"):
             FlowSchedule("f", circuit, ((Q(0), Q(0)), (Q(1), Q(0))), period=period)
+    for period in (Q(0), Q(-2)):
+        with pytest.raises(ScheduleError, match="period must be positive"):
+            FlowSchedule("f", 2, ((Q(0), Q(0)), (Q(2), Q(2))), period=period)
 
 
 def test_schedule_position_and_wrap():
@@ -521,6 +525,22 @@ def test_adversarial_meets_only_at_omega():
     assert outer_sites(events) == {("edge", "e_inf", omega)}
     meetings = [e for e in events if e.complete and "f_inf" in e.participants]
     assert len(meetings) >= 2
+    # a finite opposing car has no period to look ahead with; it runs to the
+    # horizon, stops at a corner, stops inside e_inf short of omega (a pass
+    # that never crosses it) or waits at omega, from three start offsets
+    horizon = Q(10)
+    for stop in (None, Q(4), Q(11, 2), Q(17, 3)):
+        for s in (Q(0), Q(1, 2), Q(3, 2)):
+            if stop is None:
+                bps = ((Q(0), s), (horizon, s + horizon))
+            else:
+                bps = ((Q(0), s), (stop - s, stop), (horizon, stop))
+            b = FlowSchedule("f0", 2, bps)
+            a = adversarial_schedule(k, b, omega, horizon)
+            assert a.breakpoints[-1][0] == horizon
+            sch = {"f_inf": a, "f0": b, "f1": uniform_schedule(k.face_map["f1"])}
+            events = simulate(k, sch, horizon)
+            assert outer_sites(events) == {("edge", "e_inf", omega)}, (stop, s)
 
 
 def test_adversarial_negative_control():
@@ -566,6 +586,8 @@ def test_adversarial_preconditions():
     for horizon in (Q(0), Q(-1)):
         with pytest.raises(ScheduleError, match="horizon must be positive"):
             adversarial_schedule(k, b, Q(1, 3), horizon)
+    with pytest.raises(ScheduleError, match="no distinguished outer face"):
+        adversarial_schedule(replace(k, e_infinity=None), b, Q(1, 3), Q(10))
 
 
 # -- coherently oriented outer boundaries -------------------------------------
@@ -617,6 +639,12 @@ def test_uphill_guards():
     )
     with pytest.raises(ScheduleError):
         uphill_schedule(flat, Q(1, 2), Q(10))
+    with pytest.raises(ScheduleError, match="no distinguished outer face"):
+        uphill_schedule(replace(k, e_infinity=None), Q(1, 2), Q(10))
+    # f1 runs e1 with its orientation and e2 against it
+    mixed = replace(bigon_sphere(), e_infinity="f1", v0="u")
+    with pytest.raises(ScheduleError, match="outer edges must all be oriented the same way"):
+        uphill_schedule(mixed, Q(1, 2), Q(10))
 
 
 # -- golden plans -------------------------------------------------------------

@@ -23,7 +23,7 @@ from onerelator import (
     parse_word,
     t_shape,
 )
-from onerelator.words import MAX_EXPONENT, least_rotation, substitute
+from onerelator.words import MAX_EXPONENT, MAX_LETTERS, least_rotation, substitute
 
 AB = free_alphabet(2)
 SYMS = sorted(AB) + [STABLE]
@@ -107,6 +107,8 @@ def test_parse_word_basics():
         parse_word("a!", AB)
     with pytest.raises(WordSyntaxError):
         parse_word("s", AB)
+    with pytest.raises(WordSyntaxError, match="expected integer exponent after '\\^'"):
+        parse_word("a^", AB)
 
 
 def test_parse_word_caps_exponents():
@@ -118,6 +120,10 @@ def test_parse_word_caps_exponents():
         with pytest.raises(WordSyntaxError) as exc:
             parse_word(text, AB)
         assert exc.value.position == 3
+    # each power is within the cap, but the expanded word is not
+    with pytest.raises(WordSyntaxError, match=f"longer than {MAX_LETTERS} letters") as exc:
+        parse_word("a^10000b^10000" * 100, AB)
+    assert exc.value.position == 70  # the eleventh power
 
 
 # -- anatomy -----------------------------------------------------------------
