@@ -12,7 +12,6 @@ from onerelator import (
     free_alphabet,
     normal_closure_search,
     one_relator_presentation,
-    order_evidence,
     parse_word,
     quotient_certificate,
     verify_certificate,
@@ -44,7 +43,3 @@ pres = one_relator_presentation(parse_word("aTatt", a1), 1)
 cert = quotient_certificate(pres, max_degree=4)
 print(f"\ncertificate: degree={cert.degree}, images={cert.images}")
 print(f"independent verification: {verify_certificate(pres, cert)}")
-
-# finite quotients also bound element orders from below
-k = order_evidence(parse_word("t", a1), pres, max_degree=4)
-print(f"order of t is a multiple of {k} in some finite quotient")

@@ -42,6 +42,12 @@ class Presentation:
                 raise ValueError("relators must be nontrivial")
             if cyclic_reduce(r)[0].letters != r.letters:
                 raise ValueError(f"relator {r} is not cyclically reduced")
+            unknown = {sym for sym, _ in r.letters} - {*self.generators, STABLE}
+            if unknown:
+                raise ValueError(
+                    f"relator {r} uses letters {sorted(unknown)} "
+                    "that are not generators"
+                )
 
 
 def one_relator_presentation(w: Word, rank: int) -> Presentation:
@@ -347,50 +353,57 @@ class QuotientCertificate:
     witness: str
 
 
+def _used_generators(pres: Presentation) -> list[str]:
+    """The generators, in order, that some relator contains."""
+    symbols = {sym for r in pres.relators for sym, _ in r.letters}
+    return [g for g in pres.generators if g in symbols]
+
+
 def _quotients(pres: Presentation, max_degree: int):
     """Permutation quotients of degree 1 to ``max_degree``, in deterministic
-    order; a ``max_degree`` outside 1..8 raises ``ValueError`` at the call.
+    order.
 
     Yields ``(degree, images)`` for every generator-image assignment that
-    sends each relator to the identity.  The first base generator ranges
-    over conjugacy-class representatives only: conjugating all images at
-    once preserves both the relator check and the membership witness.  The
-    other base generators range over all of ``S_n`` in ``product`` order,
-    with t innermost.  Without base generators each degree has one base
-    assignment, the empty one.
+    sends each relator to the identity.  Only the generators that some
+    relator contains are enumerated; every other generator sits at the
+    identity.  The first used generator ranges over conjugacy-class
+    representatives only: conjugating all images at once preserves both the
+    relator check and the membership witness.  The other used generators
+    range over all of ``S_n`` in ``product`` order, with t innermost.
+    Without used generators each degree has one base assignment, the empty
+    one.
 
     When a relator is conjugate to g t^(+-1), t is not enumerated: its image
     is that of the first such relator's ``collapse_isomorphism().t_image``,
     still checked against every relator.  A degree n then costs
-    p(n) * (n!)^(rank-1) base assignments, p(n) the number of partitions of
-    n; without such a relator each one tries all n! images of t.
+    p(n) * (n!)^(u-1) base assignments, u the number of used generators and
+    p(n) the number of partitions of n; without such a relator each one
+    tries all n! images of t.
     """
-    if not 1 <= max_degree <= 8:
-        raise ValueError(f"max_degree must be from 1 to 8, got {max_degree}")
-    gens = list(pres.generators)
+    used = _used_generators(pres)
     gt = [r for r in pres.relators if is_conjugate_to_gt(r) is not None]
     t_word = collapse_isomorphism(gt[0]).t_image if gt else None
-
-    def quotients():
-        for degree in range(1, max_degree + 1):
-            identity = tuple(range(degree))
-            all_perms = sorted(permutations(range(degree)))
-            for first in _class_representatives(degree) if gens else [None]:
-                for tail in product(all_perms, repeat=len(gens[1:])):
-                    base = dict(zip(gens, (first, *tail)))
-                    t_candidates = (
-                        all_perms if t_word is None
-                        else (_word_image(t_word, base, degree),)
-                    )
-                    for t_image in t_candidates:
-                        images = {**base, STABLE: t_image}
-                        if all(
-                            _word_image(r, images, degree) == identity
-                            for r in pres.relators
-                        ):
-                            yield degree, images
-
-    return quotients()
+    for degree in range(1, max_degree + 1):
+        identity = tuple(range(degree))
+        all_perms = sorted(permutations(range(degree)))
+        choices = (
+            [_class_representatives(degree)] + [all_perms] * (len(used) - 1)
+            if used else []
+        )
+        for assignment in product(*choices):
+            base = dict.fromkeys(pres.generators, identity)
+            base.update(zip(used, assignment))
+            t_candidates = (
+                all_perms if t_word is None
+                else (_word_image(t_word, base, degree),)
+            )
+            for t_image in t_candidates:
+                images = {**base, STABLE: t_image}
+                if all(
+                    _word_image(r, images, degree) == identity
+                    for r in pres.relators
+                ):
+                    yield degree, images
 
 
 def quotient_certificate(
@@ -402,17 +415,25 @@ def quotient_certificate(
     absence of a certificate is not a refutation.  The quotients come from
     ``_quotients`` in its order, and each is tested by a membership walk
     that stops once it reaches t's image: only the certificate itself costs
-    a whole subgroup.
+    a whole subgroup.  A ``max_degree`` outside 1..8 raises ``ValueError``.
+
+    A generator that no relator contains is fixed at the identity.  Any
+    quotient maps it somewhere; moving it to the identity keeps every
+    relator satisfied and only shrinks G's image, so t still escapes.  The
+    search therefore finds a certificate at exactly the degrees where one
+    exists.
 
     When a relator has the gt collapse that makes ``analyze`` answer
     Surjective, t lies in G's image in every quotient, so None is returned
     without a search.
     """
-    quotients = _quotients(pres, max_degree)  # refuses degrees outside 1..8
+    if not 1 <= max_degree <= 8:
+        raise ValueError(f"max_degree must be from 1 to 8, got {max_degree}")
     if any(is_conjugate_to_gt(r) is not None for r in pres.relators):
         return None
-    for n, images in quotients:
-        if not _in_subgroup(images[STABLE], [images[g] for g in pres.generators]):
+    used = _used_generators(pres)
+    for n, images in _quotients(pres, max_degree):
+        if not _in_subgroup(images[STABLE], [images[g] for g in used]):
             return QuotientCertificate(
                 degree=n,
                 images=images,
@@ -428,6 +449,8 @@ def verify_certificate(pres: Presentation, cert: QuotientCertificate) -> bool:
     """Independent re-check of a certificate (no shared state with the search)."""
     n = cert.degree
     identity = tuple(range(n))
+    if cert.images.keys() != {*pres.generators, STABLE}:
+        return False
     for sym, p in cert.images.items():
         if sorted(p) != list(range(n)):
             return False
@@ -456,32 +479,3 @@ def verify_certificate(pres: Presentation, cert: QuotientCertificate) -> bool:
                 closure.add(nxt)
                 frontier.append(nxt)
     return cert.images[STABLE] not in closure
-
-
-def _perm_order(p: Perm) -> int:
-    n = len(p)
-    identity = tuple(range(n))
-    cur, k = p, 1
-    while cur != identity:
-        cur = _compose(cur, p)
-        k += 1
-    return k
-
-
-def order_evidence(x: Word, pres: Presentation, max_degree: int) -> int:
-    """Largest verified order of x's image over finite permutation quotients.
-
-    Each returned value k certifies that the order of x in the extension is a
-    multiple of k; growing values are consistent with infinite order.
-    """
-    shape = t_shape(x)
-    total = sum(shape)
-    if total <= 0 or not (
-        shape == (total,) or shape == tuple([1] * total)
-    ):
-        raise ValueError("word must have t-shape t^n with n > 0")
-    orders = (
-        _perm_order(_word_image(x, images, n))
-        for n, images in _quotients(pres, max_degree)
-    )
-    return max(orders, default=0)

@@ -129,6 +129,24 @@ def test_certify_none(capsys):
     assert out["report"]["certificate"] is None
 
 
+def test_certify_unused_generator_at_identity(capsys):
+    """bTbtt leaves a out of the search: a is reported at the identity."""
+    code, out, _ = run_cli(capsys, "certify", "--word", "bTbtt", "--max-degree", "4")
+    assert code == 0
+    cert = out["report"]["certificate"]
+    assert cert["degree"] == 3
+    assert cert["images"] == {"a": [0, 1, 2], "b": [1, 0, 2], "t": [1, 2, 0]}
+
+
+def test_certify_none_up_to_degree_6(capsys):
+    """b is unused in atattaTT, so degree 6 at rank 2 costs no 6! factor."""
+    code, out, _ = run_cli(
+        capsys, "certify", "--word", "atattaTT", "--rank", "2", "--max-degree", "6"
+    )
+    assert code == 0
+    assert out["report"]["certificate"] is None
+
+
 def test_search_kernel(capsys):
     code, out, _ = run_cli(
         capsys,

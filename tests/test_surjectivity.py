@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,12 +16,12 @@ from onerelator import (
     analyze,
     collapse_isomorphism,
     cyclic_reduce,
+    exponent_sum,
     free_alphabet,
     free_reduce,
     is_conjugate_to_gt,
     normal_closure_search,
     one_relator_presentation,
-    order_evidence,
     parse_word,
     quotient_certificate,
     t_shape,
@@ -28,7 +29,6 @@ from onerelator import (
 )
 from onerelator import surjectivity
 from onerelator.surjectivity import (
-    _perm_order,
     _quotients,
     _reduced_words,
     _word_image,
@@ -52,6 +52,8 @@ def test_presentation_validation():
         Presentation(generators=("a",), relators=(Word(),))
     with pytest.raises(ValueError):
         Presentation(generators=("a",), relators=(wab("Tat"),))
+    with pytest.raises(ValueError, match=r"letters \['b'\] that are not generators"):
+        Presentation(generators=("a",), relators=(wab("bTbtt"),))
     pres = one_relator_presentation(wab("AatbA"), 2)
     assert pres.relators[0] == wab("bAt")  # cyclically reduced on entry
 
@@ -286,14 +288,21 @@ def test_verify_rejects_tampering():
         witness="",
     )
     assert not verify_certificate(pres, relator_broken)
+    # every generator and t need an image, and nothing else may have one
+    rank2 = one_relator_presentation(wab("aTatt"), 2)
+    cert2 = quotient_certificate(rank2, 4)
+    assert verify_certificate(rank2, cert2)
+    assert cert2.images["b"] == tuple(range(cert2.degree))
+    no_b = {g: p for g, p in cert2.images.items() if g != "b"}
+    assert not verify_certificate(rank2, QuotientCertificate(cert2.degree, no_b, ""))
+    extra = {**cert2.images, "z": tuple(range(cert2.degree))}
+    assert not verify_certificate(rank2, QuotientCertificate(cert2.degree, extra, ""))
 
 
 def test_degree_cap():
     pres = one_relator_presentation(parse_word("at", free_alphabet(1)), 1)
     with pytest.raises(ValueError):
         quotient_certificate(pres, 9)
-    with pytest.raises(ValueError):
-        order_evidence(wab("t"), pres, 9)
 
 
 def test_degree_floor():
@@ -302,10 +311,6 @@ def test_degree_floor():
     for degree in (0, -2):
         with pytest.raises(ValueError):
             quotient_certificate(pres, degree)
-        with pytest.raises(ValueError):
-            order_evidence(wab("t"), pres, degree)
-        with pytest.raises(ValueError):
-            _quotients(pres, degree)
 
 
 def test_single_t_relator_has_no_certificate_without_a_search(monkeypatch):
@@ -327,16 +332,6 @@ def test_single_t_relator_has_no_certificate_without_a_search(monkeypatch):
     assert quotient_certificate(second, 5) is None
     with pytest.raises(ValueError):
         quotient_certificate(one_relator_presentation(wab("abAt"), 2), 9)
-
-
-def test_order_evidence():
-    a1 = free_alphabet(1)
-    gt = one_relator_presentation(parse_word("at", a1), 1)
-    assert order_evidence(parse_word("t", a1), gt, 4) == 4
-    tw = one_relator_presentation(parse_word("aTatt", a1), 1)
-    assert order_evidence(parse_word("t", a1), tw, 4) == 3
-    with pytest.raises(ValueError):
-        order_evidence(parse_word("taT", a1), gt, 4)
 
 
 # -- the quotient search against its reference ---------------------------------
@@ -362,14 +357,27 @@ def cyclically_reduced_words(symbols, max_len):
 
 
 def assert_quotients_match_reference(pres, degree):
-    """Same quotients, each once, and the same certificate; none with a gt
-    relator."""
+    """Same quotients, each once, and the same certificate as the brute force
+    over the generators the relators use, each other generator added at the
+    identity; none with a gt relator."""
+    symbols = {sym for r in pres.relators for sym, _ in r.letters}
+    gens = tuple(g for g in pres.generators if g in symbols)
+    used = Presentation(gens, pres.relators)
+
+    def with_unused(n, images):
+        return {**dict.fromkeys(pres.generators, tuple(range(n))), **images}
+
     distinct = {}
-    for n, images in reference._quotients(pres, degree):
+    for n, images in reference._quotients(used, degree):
         distinct.setdefault((n, tuple(sorted(images.items()))), (n, images))
-    assert list(_quotients(pres, degree)) == list(distinct.values())
+    expected = [(n, with_unused(n, images)) for n, images in distinct.values()]
+    assert list(_quotients(pres, degree)) == expected
     cert = quotient_certificate(pres, degree)
-    assert cert == reference.quotient_certificate(pres, degree)
+    ref = reference.quotient_certificate(used, degree)
+    if ref is not None:
+        images = with_unused(ref.degree, ref.images)
+        ref = QuotientCertificate(ref.degree, images, ref.witness)
+    assert cert == ref
     if any(is_conjugate_to_gt(r) is not None for r in pres.relators):
         assert cert is None
 
@@ -390,16 +398,30 @@ def test_quotients_match_reference_sampled():
         assert_quotients_match_reference(one_relator_presentation(w(text), 3), 3)
 
 
-def test_order_evidence_matches_reference():
-    for text in ("at", "bAT", "abAt", "taBB", "btbAT"):
-        pres = one_relator_presentation(wab(text), 2)
-        for x in ("t", "tt", "tat"):
-            word = wab(x)
-            expected = max(
-                _perm_order(_word_image(word, images, n))
-                for n, images in reference._quotients(pres, 4)
-            )
-            assert order_evidence(word, pres, 4) == expected
+def test_certificate_degrees_match_the_full_brute_force():
+    """Fixing unused generators at the identity finds a certificate at
+    exactly the degrees where the brute force over every generator does."""
+    words = [
+        word
+        for word in cyclically_reduced_words(["a", "b", STABLE], 6)
+        if exponent_sum(word) == 1
+        and is_conjugate_to_gt(word) is None
+        and len({sym for sym, _ in word.letters} - {STABLE}) == 1
+    ]
+    assert len(words) == 96
+    # up to degree 4, the 16 relators that need degree 5 have none
+    runs = ((5, {3: 64, 4: 16, 5: 16}), (4, {3: 64, 4: 16, None: 16}))
+    for max_degree, degrees in runs:
+        found = Counter()
+        for word in words:
+            pres = one_relator_presentation(word, 2)
+            cert = quotient_certificate(pres, max_degree)
+            expect = reference.quotient_certificate(pres, max_degree)
+            degree = cert and cert.degree
+            assert degree == (expect and expect.degree), word
+            assert cert is None or verify_certificate(pres, cert)
+            found[degree] += 1
+        assert found == degrees
 
 
 def assert_t_forced(pres, t_word, degree):
@@ -433,7 +455,8 @@ def test_t_solved_from_t_inverse_and_bare_t():
     bare = one_relator_presentation(w("t", free_alphabet(1)), 1)
     assert is_conjugate_to_gt(bare.relators[0]) == (Word(), 1)
     assert_quotients_match_reference(bare, 5)
-    # t is solved to the identity, so every quotient is one of <a> alone
+    # t is solved to the identity and no relator contains a, so every
+    # quotient is trivial
     assert_t_forced(bare, Word(), 4)
     no_generators = Presentation(generators=(), relators=(wab("t"),))
     assert_quotients_match_reference(no_generators, 3)
