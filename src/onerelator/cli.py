@@ -26,6 +26,7 @@ from .spheres import (
 )
 from .strata import lemma2_decompose, build_two_variable_word
 from .surjectivity import (
+    MAX_DEGREE,
     amenable_shape,
     analyze,
     normal_closure_search,
@@ -206,8 +207,8 @@ def cmd_certify(args: argparse.Namespace) -> dict:
     pres = one_relator_presentation(w, args.rank)
     if args.max_degree < 1:
         raise InputError(f"--max-degree must be at least 1, got {args.max_degree}")
-    if args.max_degree > 8:
-        raise InputError("--max-degree is capped at 8")
+    if args.max_degree > MAX_DEGREE:
+        raise InputError(f"--max-degree is capped at {MAX_DEGREE}")
     cert = quotient_certificate(pres, args.max_degree)
     if cert is None:
         return {"certificate": None, "max_degree": args.max_degree, "word": str(w)}

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from .words import (
-    RESERVED,
+    BASE_LETTERS,
     STABLE,
     Word,
     assemble,
@@ -26,9 +26,7 @@ from .words import (
     parse_word,
 )
 
-LABEL_ALPHABET = frozenset(
-    chr(c) for c in range(ord("a"), ord("z") + 1) if chr(c) not in RESERVED
-)
+LABEL_ALPHABET = frozenset(BASE_LETTERS)
 
 FACE_TYPES = ("I", "I'", "II", "II'", "infinity")
 

@@ -29,7 +29,9 @@ from .words import (
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators of the base group plus the stable letter, and the relators."""
+    """Generators of the base group plus the stable letter, and the relators,
+    each cyclically reduced as the paper defines it (g_n = 1, and g_0 != 1
+    when n > 1): exactly the words ``cyclic_reduce`` leaves unchanged."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
@@ -276,6 +278,9 @@ def normal_closure_search(
 
 Perm = tuple[int, ...]
 
+#: the largest permutation degree ``quotient_certificate`` searches
+MAX_DEGREE = 8
+
 
 def _compose(p: Perm, q: Perm) -> Perm:
     """Apply p first, then q."""
@@ -371,18 +376,11 @@ def _quotients(pres: Presentation, max_degree: int):
     relator check and the membership witness.  The other used generators
     range over all of ``S_n`` in ``product`` order, with t innermost.
     Without used generators each degree has one base assignment, the empty
-    one.
-
-    When a relator is conjugate to g t^(+-1), t is not enumerated: its image
-    is that of the first such relator's ``collapse_isomorphism().t_image``,
-    still checked against every relator.  A degree n then costs
-    p(n) * (n!)^(u-1) base assignments, u the number of used generators and
-    p(n) the number of partitions of n; without such a relator each one
+    one.  A degree n costs p(n) * (n!)^(u-1) base assignments, u the number
+    of used generators and p(n) the number of partitions of n, and each one
     tries all n! images of t.
     """
     used = _used_generators(pres)
-    gt = [r for r in pres.relators if is_conjugate_to_gt(r) is not None]
-    t_word = collapse_isomorphism(gt[0]).t_image if gt else None
     for degree in range(1, max_degree + 1):
         identity = tuple(range(degree))
         all_perms = sorted(permutations(range(degree)))
@@ -393,11 +391,7 @@ def _quotients(pres: Presentation, max_degree: int):
         for assignment in product(*choices):
             base = dict.fromkeys(pres.generators, identity)
             base.update(zip(used, assignment))
-            t_candidates = (
-                all_perms if t_word is None
-                else (_word_image(t_word, base, degree),)
-            )
-            for t_image in t_candidates:
+            for t_image in all_perms:
                 images = {**base, STABLE: t_image}
                 if all(
                     _word_image(r, images, degree) == identity
@@ -415,7 +409,8 @@ def quotient_certificate(
     absence of a certificate is not a refutation.  The quotients come from
     ``_quotients`` in its order, and each is tested by a membership walk
     that stops once it reaches t's image: only the certificate itself costs
-    a whole subgroup.  A ``max_degree`` outside 1..8 raises ``ValueError``.
+    a whole subgroup.  A ``max_degree`` outside 1 to ``MAX_DEGREE`` raises
+    ``ValueError``.
 
     A generator that no relator contains is fixed at the identity.  Any
     quotient maps it somewhere; moving it to the identity keeps every
@@ -427,8 +422,10 @@ def quotient_certificate(
     Surjective, t lies in G's image in every quotient, so None is returned
     without a search.
     """
-    if not 1 <= max_degree <= 8:
-        raise ValueError(f"max_degree must be from 1 to 8, got {max_degree}")
+    if not 1 <= max_degree <= MAX_DEGREE:
+        raise ValueError(
+            f"max_degree must be from 1 to {MAX_DEGREE}, got {max_degree}"
+        )
     if any(is_conjugate_to_gt(r) is not None for r in pres.relators):
         return None
     used = _used_generators(pres)

@@ -8,11 +8,14 @@ so ``"aTbt"`` is a t^-1 b t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import ascii_lowercase
 from typing import Iterable, Iterator, Optional, Sequence
 
 STABLE = "t"
 AUX = "s"
 RESERVED = frozenset({STABLE, AUX})
+#: the base letters a, b, c, ..., z in order, without the reserved t and s
+BASE_LETTERS = tuple(c for c in ascii_lowercase if c not in RESERVED)
 #: largest exponent magnitude ``parse_word`` accepts; each power is expanded
 #: into that many letters
 MAX_EXPONENT = 10_000
@@ -47,15 +50,9 @@ def free_alphabet(rank: int) -> frozenset[str]:
     """The first ``rank`` letters a, b, c, ... (skipping reserved symbols)."""
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
-    symbols = []
-    for code in range(ord("a"), ord("z") + 1):
-        sym = chr(code)
-        if sym in RESERVED:
-            continue
-        symbols.append(sym)
-        if len(symbols) == rank:
-            return make_alphabet(symbols)
-    raise ValueError("rank too large for single-letter alphabet")
+    if rank > len(BASE_LETTERS):
+        raise ValueError("rank too large for single-letter alphabet")
+    return make_alphabet(BASE_LETTERS[:rank])
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -264,15 +261,18 @@ def least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Cyclically reduce ``w``.
+    """Cyclically reduce ``w`` as the paper defines it.
+
+    A reduced word g_0 t^q_1 g_1 ... t^q_n g_n is cyclically reduced when
+    g_n = 1 and, if n > 1, g_0 != 1; without t-letters (n = 0), when it is
+    cyclically reduced in G.  Such a word comes back unchanged.
 
     Returns ``(reduced, u)`` with ``u.inverse() * reduced * u == w``.  With
     ``w = P core P^-1`` and ``core`` cyclically reduced, ``reduced`` is
     ``core`` itself when it starts with a base letter and ends in a t-letter,
     or has no base letter or no t-letter.  Otherwise it is the least rotation
     of ``core`` (under :func:`word_key`) that starts with a base letter and
-    ends in a t-letter, so its final coefficient is trivial and its leading
-    one is not.
+    ends in a t-letter.
     """
     letters = w.letters
     n = len(letters)

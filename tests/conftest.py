@@ -1,11 +1,24 @@
 """Shared hand-built complexes and word helpers for the test suite."""
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
+import onerelator
 from onerelator import Face, SphereComplex, Word, free_alphabet, parse_word
 
 ABC = free_alphabet(3)
 AB = free_alphabet(2)
 IDENT = Word()
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment for a Python subprocess that imports the package under
+    test: ``PYTHONPATH`` leads with the directory that holds ``onerelator``,
+    which may be on ``sys.path`` only."""
+    src = str(Path(onerelator.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def w(text: str, alphabet=ABC) -> Word:

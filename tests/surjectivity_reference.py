@@ -5,23 +5,30 @@ order the library's docstring promises and returns the first one with the
 target t-shape.
 
 ``_quotients`` and ``quotient_certificate`` are the permutation-quotient
-search as it stood before t's image was solved: every assignment of
-permutations to the base generators and to t, in the ``product(...)`` order
-with t innermost, and a full subgroup closure for every quotient it yields.
+search by brute force: every assignment of permutations to the base
+generators and to t, in the ``product(...)`` order with t innermost, and a
+full subgroup closure for every quotient it yields.  The relator check and
+the conjugacy-class representatives are computed here, not taken from the
+library.
 """
 from __future__ import annotations
 
-from itertools import chain, groupby, pairwise, permutations, product
-from typing import Iterable, Optional, Sequence
+from itertools import (
+    chain,
+    combinations_with_replacement,
+    groupby,
+    pairwise,
+    permutations,
+    product,
+)
+from typing import Iterable, Mapping, Optional, Sequence
 
 from onerelator.surjectivity import (
+    MAX_DEGREE,
     Perm,
     Presentation,
     QuotientCertificate,
     SearchHit,
-    _class_representatives,
-    _compose,
-    _word_image,
 )
 from onerelator.words import STABLE, Word, _reduce, free_reduce, word_key
 
@@ -76,6 +83,43 @@ def normal_closure_search(
     return None
 
 
+def _class_representatives(n: int) -> list[Perm]:
+    """One permutation per cycle type of S_n, the cycle types as partitions
+    of n in decreasing lexicographic order; each cycle runs through
+    consecutive points, the longest cycles first."""
+    parts = sorted(
+        (
+            combo[::-1]
+            for k in range(1, n + 1)
+            for combo in combinations_with_replacement(range(1, n + 1), k)
+            if sum(combo) == n
+        ),
+        reverse=True,
+    )
+    reps = []
+    for part in parts:
+        points = iter(range(n))
+        perm = [0] * n
+        for size in part:
+            cycle = [next(points) for _ in range(size)]
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[x] = y
+        reps.append(tuple(perm))
+    return reps
+
+
+def _kills(w: Word, images: Mapping[str, Perm]) -> bool:
+    """Whether the images send w to the identity: each point, pushed through
+    the letters of w from left to right, comes back to itself."""
+    for start in range(len(images[STABLE])):
+        x = start
+        for sym, sign in w.letters:
+            x = images[sym][x] if sign > 0 else images[sym].index(x)
+        if x != start:
+            return False
+    return True
+
+
 def _subgroup_closure(gens: Sequence[Perm], degree: int) -> set[Perm]:
     identity = tuple(range(degree))
     seen = {identity}
@@ -83,7 +127,7 @@ def _subgroup_closure(gens: Sequence[Perm], degree: int) -> set[Perm]:
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = _compose(cur, g)
+            nxt = tuple(g[i] for i in cur)
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -91,20 +135,19 @@ def _subgroup_closure(gens: Sequence[Perm], degree: int) -> set[Perm]:
 
 
 def _quotients(pres: Presentation, max_degree: int):
-    """Permutation quotients of degree 1 to ``max_degree`` (at most 8), in
-    deterministic order.
+    """Permutation quotients of degree 1 to ``max_degree`` (at most
+    ``MAX_DEGREE``), in deterministic order.
 
     Yields ``(degree, images)`` for every generator-image assignment that
     sends each relator to the identity.  The first base generator ranges
     over conjugacy-class representatives only: conjugating all images at
     once preserves both the relator check and the membership witness.
     """
-    if max_degree > 8:
-        raise ValueError("max_degree is capped at 8")
+    if max_degree > MAX_DEGREE:
+        raise ValueError(f"max_degree is capped at {MAX_DEGREE}")
     gens = list(pres.generators)
     rest = gens[1:] if gens else []
     for degree in range(1, max_degree + 1):
-        identity = tuple(range(degree))
         all_perms = sorted(permutations(range(degree)))
         for first in _class_representatives(degree):
             for tail in product(all_perms, repeat=len(rest) + 1):
@@ -112,10 +155,7 @@ def _quotients(pres: Presentation, max_degree: int):
                 for g, p in zip(rest, tail):
                     images[g] = p
                 images[STABLE] = tail[-1]
-                if all(
-                    _word_image(r, images, degree) == identity
-                    for r in pres.relators
-                ):
+                if all(_kills(r, images) for r in pres.relators):
                     yield degree, images
 
 

@@ -12,6 +12,7 @@ import pytest
 from onerelator import Word, free_alphabet, parse_word, strata
 from onerelator.cli import MAX_HORIZON_PERIODS, main
 from onerelator.words import MAX_LETTERS
+from conftest import subprocess_env
 import surjectivity_reference as reference
 
 GOLDEN = "tests/data/random_seed0_size3.json"
@@ -252,7 +253,9 @@ def test_reports_byte_identical():
     """Every command's stdout matches its committed golden report byte for byte."""
     for name, argv in GOLDEN_CASES.items():
         proc = subprocess.run(
-            [sys.executable, "-m", "onerelator.cli", *argv], capture_output=True
+            [sys.executable, "-m", "onerelator.cli", *argv],
+            capture_output=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, (name, proc.stderr)
         assert proc.stdout == (GOLDEN_REPORTS / f"{name}.out").read_bytes(), name
@@ -281,7 +284,9 @@ def test_certificate_recheck_survives_optimize():
     )
     argv = ("certify", "--word", "aTatt", "--rank", "1", "--max-degree", "4")
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", code, *argv], capture_output=True
+        [sys.executable, "-O", "-c", code, *argv],
+        capture_output=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == b""

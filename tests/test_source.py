@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import onerelator
+from conftest import subprocess_env
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
@@ -81,8 +81,7 @@ def test_no_dead_private_names():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     """Each demo script runs to completion against the package under test."""
-    src = str(Path(onerelator.__file__).parent.parent)
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, env=subprocess_env()
+    )
     assert proc.returncode == 0, proc.stderr.decode()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from onerelator import (
     read_face_word,
     read_vertex_word,
     save_complex,
+    split_face,
     validate_sphere,
 )
 from conftest import (
@@ -291,6 +293,15 @@ def test_csl_requires_valid_sphere():
         check_csl(broken, relators_for("at"))
 
 
+def test_csl_g_needs_a_face_around_the_outer_boundary():
+    # neither inner bigon holds both outer edges
+    rep = check_csl(uphill_two_edge(), relators_for("at"))
+    assert rep.items["g"] == (
+        False,
+        "2 vertices, 3 faces; no face properly contains the outer boundary",
+    )
+
+
 def test_csl_edge_exponent_balance():
     """Each edge contributes one +1 and one -1 across all face words."""
     k = triangle_pair()
@@ -309,6 +320,13 @@ def test_dipole_shape():
     assert rep.passed
     assert k.e_infinity == "f_inf" and k.v0 == "v0"
     assert len(k.face_map["f_inf"].boundary) == 1
+
+
+def test_split_face_needs_increasing_corners():
+    k = triangle_pair()
+    for i, j in ((1, 1), (2, 0), (0, 3)):
+        with pytest.raises(ValueError, match="need corner indices i < j"):
+            split_face(k, "F", i, j, itertools.count())
 
 
 def test_generated_outer_face_untouched():
@@ -371,6 +389,11 @@ def test_bad_values_rejected():
             bad["distinguished"][field] = value
             with pytest.raises(ComplexFormatError):
                 complex_from_dict(bad)
+    bad = copy.deepcopy(d)
+    face = bad["faces"][0]
+    face["corners"].append(dict(face["corners"][0]))
+    with pytest.raises(ComplexFormatError, match="corner/boundary length mismatch"):
+        complex_from_dict(bad)
     # corner labels must parse, and as words of the base group
     for label in ("s", "a^99999", "t", "aT"):
         bad = copy.deepcopy(d)

@@ -29,6 +29,8 @@ from onerelator import (
 )
 from onerelator import surjectivity
 from onerelator.surjectivity import (
+    MAX_DEGREE,
+    _class_representatives,
     _quotients,
     _reduced_words,
     _word_image,
@@ -339,12 +341,13 @@ def test_single_t_relator_has_no_certificate_without_a_search(monkeypatch):
 
 def cyclically_reduced_words(symbols, max_len):
     """The nonempty words of length <= max_len that ``cyclic_reduce`` leaves
-    unchanged, sorted.
+    unchanged, sorted: the cyclically reduced words in the paper's sense,
+    which ``Presentation`` accepts.
 
-    Each is cyclically reduced, but a word that mixes base and t-letters is
-    kept only in the one rotation ``cyclic_reduce`` picks, which starts with
-    a base letter and ends in a t-letter.  Over ``a, b, t`` up to length 5
-    that is 1,422 of the 3,918 cyclically reduced words.
+    Over ``a, b, t`` up to length 5 that is 1,422 words.  The other 2,496
+    words of the 3,918 that are cyclically reduced in the free group are
+    rotations with g_n != 1, or with g_0 = 1 and n > 1, which the paper's
+    definition rules out and ``Presentation`` refuses.
     """
     pool = [(s, e) for s in symbols for e in (1, -1)]
     found = set()
@@ -380,6 +383,16 @@ def assert_quotients_match_reference(pres, degree):
     assert cert == ref
     if any(is_conjugate_to_gt(r) is not None for r in pres.relators):
         assert cert is None
+
+
+def test_class_representatives_match_reference():
+    """The library's representatives equal the oracle's, order included: one
+    per partition of n, p(n) of them."""
+    partitions = [1, 2, 3, 5, 7, 11, 15, 22]  # p(n) for n = 1, 2, ...
+    for n in range(1, MAX_DEGREE + 1):
+        reps = reference._class_representatives(n)
+        assert len(reps) == partitions[n - 1]
+        assert _class_representatives(n) == reps
 
 
 def test_quotients_match_reference_exhaustive():

@@ -25,6 +25,7 @@ from onerelator import (
     standard_schedule_II,
     uniform_schedule,
     uphill_schedule,
+    validate_sphere,
     verify_at_least_two_crashes,
 )
 from onerelator.spheres import SphereComplex
@@ -604,6 +605,35 @@ def test_uphill_two_edges():
     outer_hits = [e for e in events if e.complete and "A" in e.participants]
     assert outer_hits, "the outer car must keep meeting its neighbours"
     assert {e.site for e in outer_hits} == {("edge", "E0", Q(1, 2))}
+
+
+def test_uphill_inner_car_starts_after_a_wrapping_outer_run():
+    """B's outer steps 2 and 0 form one run across the end of its boundary,
+    so its car starts just inside step 1, the loop L."""
+    outer = Face(
+        "A", (("E0", 1), ("E1", 1)), (("v0", None), ("x", IDENT)), type="infinity"
+    )
+    b = Face(
+        "B",
+        (("E0", -1), ("L", 1), ("E1", -1)),
+        (("x", IDENT), ("v0", IDENT), ("v0", IDENT)),
+    )
+    c = Face("C", (("L", -1),), (("v0", IDENT),))
+    k = SphereComplex(
+        vertices=("v0", "x"),
+        edges=(("E0", "v0", "x"), ("E1", "x", "v0"), ("L", "v0", "v0")),
+        faces=(outer, b, c),
+        e_infinity="A",
+        v0="v0",
+    )
+    assert validate_sphere(k).passed
+    omega, horizon = Q(1, 2), Q(12)
+    sch = uphill_schedule(k, omega, horizon)
+    assert sch["B"] == uniform_schedule(b, Q(4, 3))
+    events = simulate(k, sch, horizon)
+    outer_hits = [e for e in events if e.complete and "A" in e.participants]
+    assert outer_hits, "the outer car must keep meeting its neighbours"
+    assert {e.site for e in outer_hits} == {("edge", "E0", omega)}
 
 
 def test_uphill_single_edge_matches_adversarial():

@@ -23,7 +23,14 @@ from onerelator import (
     parse_word,
     t_shape,
 )
-from onerelator.words import MAX_EXPONENT, MAX_LETTERS, least_rotation, substitute
+from onerelator.spheres import LABEL_ALPHABET
+from onerelator.words import (
+    BASE_LETTERS,
+    MAX_EXPONENT,
+    MAX_LETTERS,
+    least_rotation,
+    substitute,
+)
 
 AB = free_alphabet(2)
 SYMS = sorted(AB) + [STABLE]
@@ -74,6 +81,9 @@ def test_free_alphabet_rank_bounds():
     with pytest.raises(ValueError, match="rank too large"):
         free_alphabet(25)
     assert len(free_alphabet(24)) == 24
+    # one tuple of base letters backs both ranks and corner labels
+    assert BASE_LETTERS == tuple("abcdefghijklmnopqruvwxyz")
+    assert free_alphabet(24) == LABEL_ALPHABET == frozenset(BASE_LETTERS)
 
 
 def test_word_requires_reduced():
