@@ -16,6 +16,8 @@ from conftest import subprocess_env
 import surjectivity_reference as reference
 
 GOLDEN = "tests/data/random_seed0_size3.json"
+#: ``save_complex(mirrored_pair())``: its two faces are a type-1 pair
+MIRRORED = "tests/data/mirrored_pair.json"
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,9 @@ GOLDEN_CASES = {
     "shape": ("shape", "--word", "aT^2bt^3"),
     "validate": ("validate", "--complex", GOLDEN),
     "validate_word": ("validate", "--complex", GOLDEN, "--word", "at"),
+    "validate_word_type1": (
+        "validate", "--complex", MIRRORED, "--word", "taTbTc", "--rank", "3",
+    ),
     "simulate_default": ("simulate", "--complex", GOLDEN, "--seed", "7"),
     "simulate_horizon": ("simulate", "--complex", GOLDEN, "--horizon", "9/2"),
     "certify_found": ("certify", "--word", "attbT", "--max-degree", "5"),

@@ -455,3 +455,6 @@ def test_golden_file_matches_generator():
     with open("tests/data/random_seed0_size3.json") as fh:
         frozen = json.load(fh)
     assert complex_to_dict(generate_random(0, 3)) == frozen
+    with open("tests/data/mirrored_pair.json") as fh:
+        frozen = json.load(fh)
+    assert complex_to_dict(mirrored_pair()) == frozen
