@@ -142,6 +142,7 @@ def cmd_shape(args: argparse.Namespace) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> dict:
+    w0 = None if args.word is None else _relator(args.word, args.rank)
     k = _load(args.complex)
     rep = validate_sphere(k)
     out = {
@@ -159,9 +160,8 @@ def cmd_validate(args: argparse.Namespace) -> dict:
         out["type2_witness"] = (
             {"chain": list(t2[0]), "vertices": [t2[1], t2[2]]} if t2 else None
         )
-        if args.word is not None:
-            w0 = _parse(args.word, args.rank)
-            csl = check_csl(k, RelatorSet(w0=w0))
+        if w0 is not None:
+            csl = check_csl(k, RelatorSet(w0=w0), rep, t1, t2)
             out["csl"] = {
                 key: {"detail": detail, "passed": ok}
                 for key, (ok, detail) in csl.items.items()

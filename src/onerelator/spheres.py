@@ -21,6 +21,7 @@ from .words import (
     STABLE,
     Word,
     assemble,
+    cyclic_reduce,
     free_reduce,
     least_rotation,
     parse_word,
@@ -407,12 +408,23 @@ class CSLReport:
         return all(ok for ok, _ in self.items.values())
 
 
-def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
-    """Per-property report for the cell subdivision lemma conditions (a)-(g)."""
+def check_csl(
+    k: SphereComplex,
+    relators: RelatorSet,
+    validation: ValidationReport,
+    type1: Optional[tuple[str, str, str]],
+    type2: Optional[tuple[tuple[str, ...], str, str]],
+) -> CSLReport:
+    """Per-property report for the cell subdivision lemma conditions (a)-(g).
+
+    ``validation``, ``type1`` and ``type2`` are what ``validate_sphere(k)``,
+    ``detect_type1(k)`` and ``detect_type2(k)`` returned; (f) is judged from
+    the two witnesses, and none of the three runs here.  Raises ValueError
+    unless ``validation`` passed.
+    """
     report: dict[str, tuple[bool, str]] = {}
-    base = validate_sphere(k)
-    if not base.passed:
-        raise ValueError(f"not a valid sphere subdivision: {base.problems}")
+    if not validation.passed:
+        raise ValueError(f"not a valid sphere subdivision: {validation.problems}")
 
     report["a"] = (True, "all edges carry an orientation by construction")
 
@@ -458,8 +470,9 @@ def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
 
     targets = set()
     for w in relators.words():
-        targets.add(least_rotation(w.letters))
-        targets.add(least_rotation(w.inverse().letters))
+        r = cyclic_reduce(w)[0]  # the relator's conjugacy class, as in the paper
+        targets.add(least_rotation(r.letters))
+        targets.add(least_rotation(r.inverse().letters))
     e_ok, e_detail = True, "all face words lie in the relator family"
     for f in k.faces:
         if k.e_infinity is not None and f.id == k.e_infinity:
@@ -474,25 +487,20 @@ def check_csl(k: SphereComplex, relators: RelatorSet) -> CSLReport:
             break
     report["e"] = (e_ok, e_detail)
 
-    t1 = detect_type1(k)
-    t2 = detect_type2(k)
-    report["f"] = (
-        t1 is None and t2 is None,
-        f"type-1 witness {t1}, type-2 witness {t2}",
-    )
+    f_detail = f"type-1 witness {type1}, type-2 witness {type2}"
+    report["f"] = (type1 is None and type2 is None, f_detail)
 
     g_ok = len(k.vertices) >= 2 and len(k.faces) >= 3
     g_detail = f"{len(k.vertices)} vertices, {len(k.faces)} faces"
     if g_ok and k.e_infinity is not None:
         outer_edges = {e for e, _ in k.face_map[k.e_infinity].boundary}
-        proper = any(
+        g_ok = any(
             f.id != k.e_infinity
             and outer_edges <= {e for e, _ in f.boundary}
             and len(f.boundary) > len(outer_edges)
             for f in k.faces
         )
-        g_ok = proper
-        g_detail += "; outer boundary properly contained" if proper else (
+        g_detail += "; outer boundary properly contained" if g_ok else (
             "; no face properly contains the outer boundary"
         )
     elif k.e_infinity is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from onerelator import Word, free_alphabet, parse_word, strata
+from onerelator import Word, cli, free_alphabet, parse_word, spheres, strata
 from onerelator.cli import MAX_HORIZON_PERIODS, main
 from onerelator.words import MAX_LETTERS
 from conftest import subprocess_env
@@ -18,6 +18,9 @@ import surjectivity_reference as reference
 GOLDEN = "tests/data/random_seed0_size3.json"
 #: ``save_complex(mirrored_pair())``: its two faces are a type-1 pair
 MIRRORED = "tests/data/mirrored_pair.json"
+#: stands for the golden complex without its last face, which loads but is no
+#: sphere; ``no_sphere`` writes it
+NO_SPHERE = "<golden complex without its last face>"
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +28,15 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out else None
     return code, report, captured.err
+
+
+def no_sphere(tmp_path) -> str:
+    """Write the golden complex without its last face; return its path."""
+    doc = json.loads(Path(GOLDEN).read_text())
+    doc["faces"].pop()
+    path = tmp_path / "no_sphere.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 # -- happy paths --------------------------------------------------------------
@@ -93,6 +105,24 @@ def test_validate_with_word(capsys):
     assert set(csl) == set("abcdefg")
     for item in csl.values():
         assert set(item) == {"detail", "passed"}
+
+
+def test_validate_runs_each_step_once(capsys, monkeypatch):
+    """``validate --word`` validates and runs each detector once: the CSL
+    report is judged from the results the command already holds."""
+    calls = dict.fromkeys(("validate_sphere", "detect_type1", "detect_type2"), 0)
+    for name in calls:
+        original = getattr(spheres, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(spheres, name, counted)
+    code, out, _ = run_cli(capsys, "validate", "--complex", GOLDEN, "--word", "at")
+    assert code == 0 and set(out["report"]["csl"]) == set("abcdefg")
+    assert calls == dict.fromkeys(calls, 1)
 
 
 def test_simulate_default_horizon(capsys):
@@ -300,9 +330,16 @@ def test_certificate_recheck_survives_optimize():
 # -- failure modes ------------------------------------------------------------
 
 
-def test_bad_word_exits_2(capsys):
+def test_bad_word_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--word", "ax")
     assert code == 2 and out is None and "error" in err
+    # the word is read before the complex, whether or not that is a sphere
+    for path in (GOLDEN, no_sphere(tmp_path)):
+        for word in ("%%", "z"):
+            code, out, err = run_cli(
+                capsys, "validate", "--complex", path, "--word", word
+            )
+            assert code == 2 and out is None and "error" in err
     # 1,400 characters whose powers expand to 2,000,000 letters
     code, out, err = run_cli(capsys, "analyze", "--word", "a^10000b^10000" * 100)
     assert code == 2 and out is None and f"longer than {MAX_LETTERS} letters" in err
@@ -334,10 +371,7 @@ def test_invalid_complex_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "validate", "--complex", str(path))
     assert code == 2
     # loads, but without a face it is no sphere, so there is nothing to simulate
-    doc = json.loads(Path(GOLDEN).read_text())
-    doc["faces"].pop()
-    path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "simulate", "--complex", str(path))
+    code, out, err = run_cli(capsys, "simulate", "--complex", no_sphere(tmp_path))
     assert code == 2 and out is None
     assert "complex is not a valid sphere subdivision" in err
 
@@ -412,11 +446,15 @@ def test_horizon_cap(capsys):
         ("search-kernel", "--word", "at", "--target-shape", "1,0"),
         ("search-kernel", "--word", "at", "--target-shape", "1", "--conj-len", "0"),
         ("search-kernel", "--word", "at", "--target-shape", "1", "--products", "0"),
+        ("validate", "--complex", GOLDEN, "--word", "aA"),
+        ("validate", "--complex", GOLDEN, "--word", ""),
+        ("validate", "--complex", NO_SPHERE, "--word", "aA"),
     ],
 )
-def test_vacuous_input_exits_2(capsys, argv):
+def test_vacuous_input_exits_2(tmp_path, capsys, argv):
     """The identity relator, a horizon that simulates nothing, a t-shape
     with a zero entry and an empty search are refused as invalid input."""
+    argv = [no_sphere(tmp_path) if arg == NO_SPHERE else arg for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out is None and err.startswith("error: ")
 

@@ -266,36 +266,58 @@ def relators_for(word_text):
     return RelatorSet(w0=parse_word(word_text, ABC))
 
 
+def csl(k, word_text):
+    """The CSL report from the validation and witnesses that ``k`` gives."""
+    validation, type1, type2 = validate_sphere(k), detect_type1(k), detect_type2(k)
+    return check_csl(k, relators_for(word_text), validation, type1, type2)
+
+
 def test_csl_unlabelled_tetrahedron_fails_b():
-    rep = check_csl(tetrahedron(labelled=False), relators_for("at"))
+    rep = csl(tetrahedron(labelled=False), "at")
     assert not rep.items["b"][0]
     assert not rep.passed
 
 
 def test_csl_type1_flagged_under_f():
     k = mirrored_pair()
-    rep = check_csl(k, relators_for("taTbTc"))
+    rep = csl(k, "taTbTc")
     assert not rep.items["f"][0]
     assert "type-1" in rep.items["f"][1]
 
 
 def test_csl_face_words_checked_under_e():
     k = triangle_pair(front=("a", "b", "c"), back=("a", "b", "c"))
-    rep = check_csl(k, relators_for("taTbTc"))
+    rep = csl(k, "taTbTc")
     # the back face reads a different word, so (e) must fail
     assert rep.items["e"] == (False, "face G reads tatbTc")
+
+
+def test_csl_e_reads_the_relators_conjugacy_class():
+    """(e) asks only for the relator up to conjugacy, as in the paper: a
+    conjugate of w0 gives the same verdict, and the faces are read as they
+    are."""
+    k = triangle_pair()
+    for word in ("taTbTc", "ataTbTcA"):
+        assert csl(k, word).items["e"] == (False, "face G reads t")
+    # F reads taTbTc and G its inverse, so every conjugate of w0 or of its
+    # inverse passes
+    for word in ("taTbTc", "ataTbTcA", "aCtBtATA"):
+        assert csl(mirrored_pair(), word).items["e"] == (
+            True,
+            "all face words lie in the relator family",
+        )
 
 
 def test_csl_requires_valid_sphere():
     k = tetrahedron(labelled=True)
     broken = SphereComplex(k.vertices, k.edges, k.faces[:-1])
     with pytest.raises(ValueError, match="not a valid sphere subdivision"):
-        check_csl(broken, relators_for("at"))
+        check_csl(broken, relators_for("at"), validate_sphere(broken), None, None)
 
 
 def test_csl_g_needs_a_face_around_the_outer_boundary():
     # neither inner bigon holds both outer edges
-    rep = check_csl(uphill_two_edge(), relators_for("at"))
+    rep = csl(uphill_two_edge(), "at")
     assert rep.items["g"] == (
         False,
         "2 vertices, 3 faces; no face properly contains the outer boundary",

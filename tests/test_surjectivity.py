@@ -437,7 +437,7 @@ def test_certificate_degrees_match_the_full_brute_force():
         assert found == degrees
 
 
-def assert_t_forced(pres, t_word, degree):
+def assert_every_quotient_sends_t_to(pres, t_word, degree):
     """Every quotient sends t to the image of ``t_word``."""
     quotients = list(_quotients(pres, degree))
     assert quotients, "some quotient must be checked"
@@ -445,32 +445,32 @@ def assert_t_forced(pres, t_word, degree):
         assert images[STABLE] == _word_image(t_word, images, n)
 
 
-def test_t_solved_from_the_first_relator_with_one_t():
+def test_every_quotient_sends_t_to_the_gt_solution_of_a_later_relator():
     pres = Presentation(generators=("a", "b"), relators=(wab("atbt"), wab("abT")))
     # abT = g t^-1 with g = ab, so t -> ab
     assert is_conjugate_to_gt(wab("atbt")) is None
     assert is_conjugate_to_gt(wab("abT")) == (wab("ab"), -1)
-    assert_t_forced(pres, wab("ab"), 3)
+    assert_every_quotient_sends_t_to(pres, wab("ab"), 3)
     assert_quotients_match_reference(pres, 4)
     no_t_first = Presentation(generators=("a", "b"), relators=(wab("aa"), wab("abbT")))
     assert is_conjugate_to_gt(wab("abbT")) == (wab("abb"), -1)
-    assert_t_forced(no_t_first, wab("abb"), 3)
+    assert_every_quotient_sends_t_to(no_t_first, wab("abb"), 3)
     assert_quotients_match_reference(no_t_first, 4)
 
 
-def test_t_solved_from_t_inverse_and_bare_t():
+def test_every_quotient_sends_t_to_the_gt_solution_of_t_inverse_and_bare_t():
     # cyclic reduction rotates aTbAB to bABaT = g t^-1 with g = bABa
     once_inverse = one_relator_presentation(wab("aTbAB"), 2)
     assert once_inverse.relators == (wab("bABaT"),)
     assert is_conjugate_to_gt(wab("bABaT")) == (wab("bABa"), -1)
-    assert_t_forced(once_inverse, wab("bABa"), 3)
+    assert_every_quotient_sends_t_to(once_inverse, wab("bABa"), 3)
     assert_quotients_match_reference(once_inverse, 4)
     bare = one_relator_presentation(w("t", free_alphabet(1)), 1)
     assert is_conjugate_to_gt(bare.relators[0]) == (Word(), 1)
     assert_quotients_match_reference(bare, 5)
     # t is solved to the identity and no relator contains a, so every
     # quotient is trivial
-    assert_t_forced(bare, Word(), 4)
+    assert_every_quotient_sends_t_to(bare, Word(), 4)
     no_generators = Presentation(generators=(), relators=(wab("t"),))
     assert_quotients_match_reference(no_generators, 3)
     # without base generators each degree has the one quotient t -> identity
