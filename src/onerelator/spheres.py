@@ -351,6 +351,11 @@ def detect_type2(k: SphereComplex) -> Optional[tuple[tuple[str, ...], str, str]]
 
     Returns (face chain, vertex a, vertex b) or None.  The product is checked
     at both vertices; a witness is returned if it is trivial at either one.
+
+    Each 2-gon may have at most two 2-gon neighbours with its vertices (true
+    when each edge has two sides), else ValueError.  The witness is the first
+    trivial prefix of a walk over sorted vertex pairs, then sorted start faces,
+    each walked to its lower neighbour first; n 2-gons push O(n^2) labels.
     """
     skip = {k.e_infinity} if k.e_infinity is not None else set()
     bigons = [
@@ -363,36 +368,37 @@ def detect_type2(k: SphereComplex) -> Optional[tuple[tuple[str, ...], str, str]]
     ]
     # label[face id][vertex]: bigon corners are labelled and sit at distinct vertices
     label = {f.id: dict(f.corners) for f in bigons}
-    by_pair: dict[frozenset[str], list[Face]] = {}
+    by_pair: dict[frozenset[str], set[str]] = {}
     for f in bigons:
-        key = frozenset(v for v, _ in f.corners)
-        by_pair.setdefault(key, []).append(f)
-    for key, group in sorted(by_pair.items(), key=lambda kv: sorted(kv[0])):
+        by_pair.setdefault(frozenset(label[f.id]), set()).add(f.id)
+    for key, ids in sorted(by_pair.items(), key=lambda kv: sorted(kv[0])):
         a, b = sorted(key)
-        adjacency: dict[str, set[str]] = {f.id: set() for f in group}
-        ids = {f.id for f in group}
-        for f in group:
-            for eid, _ in f.boundary:
-                for other, _ in k.incidences.sides[eid]:
-                    if other != f.id and other in ids:
-                        adjacency[f.id].add(other)
-
-        def extend(chain: list[str]) -> Optional[tuple[tuple[str, ...], str, str]]:
-            prod_a = free_reduce([l for fid in chain for l in label[fid][a].letters])
-            prod_b = free_reduce([l for fid in chain for l in label[fid][b].letters])
-            if prod_a.is_identity() or prod_b.is_identity():
-                return (tuple(chain), a, b)
-            for nxt in sorted(adjacency[chain[-1]]):
-                if nxt not in chain:
-                    hit = extend(chain + [nxt])
-                    if hit is not None:
-                        return hit
-            return None
-
-        for f in sorted(ids):
-            hit = extend([f])
-            if hit is not None:
-                return hit
+        adjacency: dict[str, list[str]] = {}
+        for fid in sorted(ids):
+            steps = k.face_map[fid].boundary
+            near = {g for e, _ in steps for g, _ in k.incidences.sides[e]}
+            near = (near & ids) - {fid}
+            if len(near) > 2:
+                raise ValueError(f"2-gon {fid} has {len(near)} 2-gon neighbours")
+            adjacency[fid] = sorted(near)
+        for start in sorted(ids):
+            for first in adjacency[start] or [None]:
+                chain: dict[str, None] = {}  # the walk so far, as an ordered set
+                stacks: dict[str, list[tuple[str, int]]] = {a: [], b: []}
+                cur: Optional[str] = start
+                while cur is not None:
+                    chain[cur] = None
+                    for v, stack in stacks.items():
+                        for sym, sign in label[cur][v].letters:
+                            if stack and stack[-1] == (sym, -sign):
+                                stack.pop()
+                            else:
+                                stack.append((sym, sign))
+                    if not stacks[a] or not stacks[b]:
+                        return (tuple(chain), a, b)
+                    # past the start, at most one neighbour is off the chain
+                    onward = [g for g in adjacency[cur] if g not in chain]
+                    cur = first if len(chain) == 1 else next(iter(onward), None)
     return None
 
 

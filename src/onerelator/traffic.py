@@ -437,17 +437,10 @@ def crash_vertex_reading(k: SphereComplex, event: CrashEvent) -> VertexReading:
             return VertexReading(
                 word, "Type1Witness", f"cancellation between corners {i} and {(i + 1) % n}"
             )
-    for span in range(1, n):
-        for i in range(n):
-            prod = free_reduce(
-                [l for j in range(span) for l in labels[(i + j) % n].letters]
-            )
-            if prod.is_identity():
-                return VertexReading(
-                    word,
-                    "Type2Witness",
-                    f"trivial product of corners {i}..{(i + span - 1) % n}",
-                )
+    # no junction cancels, so only an identity label is a trivial proper run
+    i = next((i for i, lbl in enumerate(labels) if lbl.is_identity()), None)
+    if n > 1 and i is not None:
+        return VertexReading(word, "Type2Witness", f"trivial product of corners {i}..{i}")
     return VertexReading(
         word, "FreenessViolation", "nontrivial relation read at a full crash"
     )

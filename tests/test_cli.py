@@ -12,7 +12,7 @@ import pytest
 from onerelator import Word, cli, free_alphabet, parse_word, spheres, strata
 from onerelator.cli import MAX_HORIZON_PERIODS, main
 from onerelator.words import MAX_LETTERS
-from conftest import subprocess_env
+from conftest import bigon_pencil, subprocess_env
 import surjectivity_reference as reference
 
 GOLDEN = "tests/data/random_seed0_size3.json"
@@ -94,6 +94,17 @@ def test_validate(capsys):
     assert rep["passed"] is True
     assert "type1_witness" in rep and "type2_witness" in rep
     assert "csl" not in rep
+
+
+def test_validate_long_bigon_pencil(tmp_path, capsys):
+    """1,100 2-gons between two vertices: a chain deeper than Python's
+    recursion limit, and no trivial chain."""
+    path = tmp_path / "pencil.json"
+    spheres.save_complex(bigon_pencil(["a"] * 1100), str(path))
+    code, out, err = run_cli(capsys, "validate", "--complex", str(path))
+    assert code == 0, err
+    assert out["report"]["passed"] is True
+    assert out["report"]["type2_witness"] is None
 
 
 def test_validate_with_word(capsys):

@@ -78,6 +78,23 @@ def test_no_dead_private_names():
     assert found == []
 
 
+def test_no_recursion_where_input_size_is_unbounded():
+    """No function in ``spheres`` or ``traffic`` calls itself: a complex has no
+    size cap, so a recursion there would be as deep as the input is large."""
+    package = Path(onerelator.__file__).parent
+    found = []
+    for name in ("spheres.py", "traffic.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            itself = (fn.name, f"self.{fn.name}")
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in itself:
+                    found.append(f"{name}:{node.lineno} {fn.name}")
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     """Each demo script runs to completion against the package under test."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -41,6 +42,7 @@ from conftest import (
     uphill_two_edge,
     w,
 )
+from spheres_reference import detect_type2 as reference_detect_type2
 
 
 # -- validation --------------------------------------------------------------
@@ -244,10 +246,9 @@ def test_type1_none_without_mirror():
 
 def test_type2_witness_on_trivial_chain():
     k = bigon_pencil(("a", "b", "BA"))
-    hit = detect_type2(k)
-    assert hit is not None
-    chain, va, vb = hit
-    assert set(chain) == {"f0", "f1", "f2"} and {va, vb} == {"u", "v"}
+    assert detect_type2(k) == (("f0", "f1", "f2"), "u", "v")
+    # the walk towards f1 finds nothing; the walk towards f2 hits at once
+    assert detect_type2(bigon_pencil(("a", "b", "A"))) == (("f0", "f2"), "u", "v")
 
 
 def test_type2_none_on_free_products():
@@ -257,6 +258,73 @@ def test_type2_none_on_free_products():
 
 def test_type2_none_without_two_gons():
     assert detect_type2(triangle_pair()) is None
+
+
+def test_type2_refuses_a_2gon_with_three_neighbours():
+    """A copy of f0 makes three 2-gons on e0 and on e1, so edge pairing fails
+    and f0 has three 2-gon neighbours: no path or cycle to walk."""
+    k = bigon_pencil(("a", "b", "c"))
+    k = replace(k, faces=k.faces + (replace(k.faces[0], id="g"),))
+    assert not validate_sphere(k).edge_pairing
+    with pytest.raises(ValueError, match="2-gon f0 has 3 2-gon neighbours"):
+        detect_type2(k)
+
+
+# -- the 2-gon walk against the recursive search ------------------------------
+
+LETTERS = ("a", "A", "b", "B")
+
+
+def assert_type2_matches_reference(complexes) -> int:
+    """Equal witnesses on every complex; returns how many have one."""
+    hits = 0
+    for k in complexes:
+        hit = detect_type2(k)
+        assert hit == reference_detect_type2(k)
+        hits += hit is not None
+    return hits
+
+
+def test_type2_matches_reference_on_every_small_pencil():
+    """Every pencil of 1-3 faces with one-letter labels at both vertices."""
+    pencils = [
+        bigon_pencil(*zip(*pairs))
+        for n in (1, 2, 3)
+        for pairs in itertools.product(itertools.product(LETTERS, repeat=2), repeat=n)
+    ]
+    assert len(pencils) == 4368
+    assert 0 < assert_type2_matches_reference(pencils) < len(pencils)
+
+
+def test_type2_matches_reference_on_random_pencils():
+    rng = random.Random(7)
+
+    def label():
+        return "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, 3)))
+
+    pencils = []
+    for _ in range(2000):
+        n = rng.randint(4, 9)
+        labels_u, labels_v = [label() for _ in range(n)], [label() for _ in range(n)]
+        pencils.append(bigon_pencil(labels_u, labels_v))
+    assert 0 < assert_type2_matches_reference(pencils) < len(pencils)
+
+
+def test_type2_matches_reference_on_random_complexes():
+    """Generated spheres whose corners get seeded random labels."""
+    rng = random.Random(11)
+    pool = ("", "a", "A", "b", "B", "ab", "BA")
+    complexes = []
+    for seed in range(800):
+        k = generate_random(seed, rng.randint(2, 14))
+        faces = []
+        for f in k.faces:
+            corners = tuple(
+                (v, None if lbl is None else w(rng.choice(pool))) for v, lbl in f.corners
+            )
+            faces.append(replace(f, corners=corners))
+        complexes.append(replace(k, faces=tuple(faces)))
+    assert 0 < assert_type2_matches_reference(complexes) < len(complexes)
 
 
 # -- the subdivision-property report ----------------------------------------

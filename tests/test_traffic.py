@@ -39,6 +39,7 @@ from conftest import (
     triangle_pair,
     uphill_two_edge,
 )
+from spheres_reference import crash_vertex_reading as reference_crash_vertex_reading
 from traffic_reference import _pieces as reference_pieces
 from traffic_reference import free_window as reference_free_window
 from traffic_reference import simulate as reference_simulate
@@ -483,6 +484,30 @@ def test_reading_type2():
     _, event = full_vertex_event(k, "v")
     reading = crash_vertex_reading(k, event)
     assert reading.classification == "Type2Witness"
+    assert reading.detail == "trivial product of corners 0..0"
+    k = bigon_pencil(("a", "b", "c"), ("a", "", "b"))
+    _, event = full_vertex_event(k, "v")
+    reading = crash_vertex_reading(k, event)
+    assert (reading.classification, reading.detail) == (
+        "Type2Witness",
+        "trivial product of corners 1..1",
+    )
+
+
+def test_reading_matches_reference_on_every_small_cycle():
+    """Every cycle of 1-4 corner labels at a vertex reads as it did when each
+    window of each span was reduced afresh."""
+    labels = ("", "a", "A", "b", "B", "ab", "BA", "aB", "bA", "aa", "aba")
+    seen = set()
+    for n in range(1, 5):
+        for cycle in itertools.product(labels, repeat=n):
+            k = bigon_pencil(("a",) * n, cycle)
+            cars = tuple(f.id for f in k.faces)
+            event = CrashEvent(Q(0), ("vertex", "v"), cars, True)
+            reading = crash_vertex_reading(k, event)
+            assert reading == reference_crash_vertex_reading(k, event)
+            seen.add(reading.classification)
+    assert seen == {"Type1Witness", "Type2Witness", "FreenessViolation"}
 
 
 def test_reading_freeness_violation():
